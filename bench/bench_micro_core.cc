@@ -221,8 +221,8 @@ BENCHMARK(BM_EnsemblePredictThreads)
     ->UseRealTime();
 
 // Steady-state allocation discipline of the ensemble hot path, mirroring
-// BM_McDropoutAllocs: member forward passes run on per-thread workspace
-// arenas, so after warm-up further Predict calls must not allocate a
+// BM_McDropoutAllocs: member k's forward pass runs on a workspace arena
+// fixed by k, so after warm-up further Predict calls must not allocate a
 // single tensor buffer.
 void BM_EnsembleAllocs(benchmark::State& state) {
   Rng rng(5);

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
+#include "nn/conv_kernel.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -37,67 +39,41 @@ size_t Conv1d::OutputLength(size_t t) const {
   return (t + 2 * padding_ - effective) / stride_ + 1;
 }
 
+ConvGeometry Conv1d::Geometry(size_t batch, size_t t_in) const {
+  ConvGeometry g;
+  g.batch = batch;
+  g.in_channels = in_channels_;
+  g.out_channels = out_channels_;
+  g.w = {t_in, OutputLength(t_in), kernel_size_, stride_, padding_, dilation_};
+  return g;
+}
+
 Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
   TASFAR_CHECK_MSG(input.rank() == 3 && input.dim(1) == in_channels_,
                    "Conv1d expects a {batch, in_channels, time} input");
   cached_input_ = input;
-  const size_t batch = input.dim(0);
-  const size_t t_in = input.dim(2);
-  const size_t t_out = OutputLength(t_in);
-  // Every element is assigned below, so the uninitialized workspace tensor
-  // is safe.
+  const ConvGeometry g = Geometry(input.dim(0), input.dim(2));
+  // Every element is assigned by ConvForward, so the uninitialized
+  // workspace tensor is safe.
   Tensor out =
-      Workspace::ThreadLocal().NewTensor({batch, out_channels_, t_out});
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t oc = 0; oc < out_channels_; ++oc) {
-      for (size_t to = 0; to < t_out; ++to) {
-        double acc = bias_[oc];
-        for (size_t ic = 0; ic < in_channels_; ++ic) {
-          for (size_t k = 0; k < kernel_size_; ++k) {
-            const long ti = static_cast<long>(to * stride_ + k * dilation_) -
-                            static_cast<long>(padding_);
-            if (ti < 0 || ti >= static_cast<long>(t_in)) continue;
-            acc += weight_.At(oc, ic, k) *
-                   input.At(b, ic, static_cast<size_t>(ti));
-          }
-        }
-        out.At(b, oc, to) = acc;
-      }
-    }
-  }
+      Workspace::ThreadLocal().NewTensor({g.batch, out_channels_, g.w.out});
+  ConvForward(g, input.data(), std::as_const(weight_).data(),
+              std::as_const(bias_).data(), out.data());
   return out;
 }
 
 Tensor Conv1d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK_MSG(cached_input_.size() > 0, "Backward before Forward");
-  const size_t batch = cached_input_.dim(0);
-  const size_t t_in = cached_input_.dim(2);
-  const size_t t_out = OutputLength(t_in);
-  TASFAR_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch &&
+  const ConvGeometry g = Geometry(cached_input_.dim(0), cached_input_.dim(2));
+  TASFAR_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == g.batch &&
                grad_output.dim(1) == out_channels_ &&
-               grad_output.dim(2) == t_out);
-  // grad_input accumulates (+=), so it must start zeroed.
+               grad_output.dim(2) == g.w.out);
+  // Every element is assigned by ConvBackward.
   Tensor grad_input =
-      Workspace::ThreadLocal().ZeroTensor(cached_input_.shape());
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t oc = 0; oc < out_channels_; ++oc) {
-      for (size_t to = 0; to < t_out; ++to) {
-        const double go = grad_output.At(b, oc, to);
-        if (go == 0.0) continue;
-        grad_bias_[oc] += go;
-        for (size_t ic = 0; ic < in_channels_; ++ic) {
-          for (size_t k = 0; k < kernel_size_; ++k) {
-            const long ti = static_cast<long>(to * stride_ + k * dilation_) -
-                            static_cast<long>(padding_);
-            if (ti < 0 || ti >= static_cast<long>(t_in)) continue;
-            const size_t tiu = static_cast<size_t>(ti);
-            grad_weight_.At(oc, ic, k) += go * cached_input_.At(b, ic, tiu);
-            grad_input.At(b, ic, tiu) += go * weight_.At(oc, ic, k);
-          }
-        }
-      }
-    }
-  }
+      Workspace::ThreadLocal().NewTensor(cached_input_.shape());
+  ConvBackward(g, std::as_const(cached_input_).data(),
+               std::as_const(weight_).data(), grad_output.data(),
+               grad_weight_.data(), grad_bias_.data(), grad_input.data());
   return grad_input;
 }
 

@@ -9,6 +9,7 @@
 namespace tasfar {
 
 class Rng;
+struct ConvGeometry;
 
 /// 1-D convolution over {batch, channels, time} tensors with optional
 /// dilation, the building block of the TCN-style PDR regressor (the paper's
@@ -31,6 +32,8 @@ class Conv1d : public Layer {
   size_t OutputLength(size_t t) const;
 
  private:
+  ConvGeometry Geometry(size_t batch, size_t t_in) const;
+
   size_t in_channels_, out_channels_, kernel_size_;
   size_t stride_, padding_, dilation_;
   Tensor weight_;       ///< {out_ch, in_ch, kernel}

@@ -1,9 +1,12 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
+#include "nn/conv_kernel.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -37,85 +40,43 @@ size_t Conv2d::OutputExtent(size_t n) const {
   return (n + 2 * padding_ - kernel_size_) / stride_ + 1;
 }
 
+ConvGeometry Conv2d::Geometry(size_t batch, size_t h_in, size_t w_in) const {
+  ConvGeometry g;
+  g.batch = batch;
+  g.in_channels = in_channels_;
+  g.out_channels = out_channels_;
+  g.h = {h_in, OutputExtent(h_in), kernel_size_, stride_, padding_, 1};
+  g.w = {w_in, OutputExtent(w_in), kernel_size_, stride_, padding_, 1};
+  return g;
+}
+
 Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   TASFAR_CHECK_MSG(input.rank() == 4 && input.dim(1) == in_channels_,
                    "Conv2d expects a {batch, in_channels, h, w} input");
   cached_input_ = input;
-  const size_t batch = input.dim(0);
-  const size_t h_in = input.dim(2), w_in = input.dim(3);
-  const size_t h_out = OutputExtent(h_in), w_out = OutputExtent(w_in);
-  // Every element is assigned below; uninitialized workspace contents are
-  // safe.
+  const ConvGeometry g = Geometry(input.dim(0), input.dim(2), input.dim(3));
+  // Every element is assigned by ConvForward; uninitialized workspace
+  // contents are safe.
   Tensor out = Workspace::ThreadLocal().NewTensor(
-      {batch, out_channels_, h_out, w_out});
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t oc = 0; oc < out_channels_; ++oc) {
-      for (size_t ho = 0; ho < h_out; ++ho) {
-        for (size_t wo = 0; wo < w_out; ++wo) {
-          double acc = bias_[oc];
-          for (size_t ic = 0; ic < in_channels_; ++ic) {
-            for (size_t kh = 0; kh < kernel_size_; ++kh) {
-              const long hi = static_cast<long>(ho * stride_ + kh) -
-                              static_cast<long>(padding_);
-              if (hi < 0 || hi >= static_cast<long>(h_in)) continue;
-              for (size_t kw = 0; kw < kernel_size_; ++kw) {
-                const long wi = static_cast<long>(wo * stride_ + kw) -
-                                static_cast<long>(padding_);
-                if (wi < 0 || wi >= static_cast<long>(w_in)) continue;
-                acc += weight_.At(oc, ic, kh, kw) *
-                       input.At(b, ic, static_cast<size_t>(hi),
-                                static_cast<size_t>(wi));
-              }
-            }
-          }
-          out.At(b, oc, ho, wo) = acc;
-        }
-      }
-    }
-  }
+      {g.batch, out_channels_, g.h.out, g.w.out});
+  ConvForward(g, input.data(), std::as_const(weight_).data(),
+              std::as_const(bias_).data(), out.data());
   return out;
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK_MSG(cached_input_.size() > 0, "Backward before Forward");
-  const size_t batch = cached_input_.dim(0);
-  const size_t h_in = cached_input_.dim(2), w_in = cached_input_.dim(3);
-  const size_t h_out = OutputExtent(h_in), w_out = OutputExtent(w_in);
-  TASFAR_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
+  const ConvGeometry g = Geometry(cached_input_.dim(0), cached_input_.dim(2),
+                                  cached_input_.dim(3));
+  TASFAR_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == g.batch &&
                grad_output.dim(1) == out_channels_ &&
-               grad_output.dim(2) == h_out && grad_output.dim(3) == w_out);
-  // grad_input accumulates (+=), so it must start zeroed.
+               grad_output.dim(2) == g.h.out && grad_output.dim(3) == g.w.out);
+  // Every element is assigned by ConvBackward.
   Tensor grad_input =
-      Workspace::ThreadLocal().ZeroTensor(cached_input_.shape());
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t oc = 0; oc < out_channels_; ++oc) {
-      for (size_t ho = 0; ho < h_out; ++ho) {
-        for (size_t wo = 0; wo < w_out; ++wo) {
-          const double go = grad_output.At(b, oc, ho, wo);
-          if (go == 0.0) continue;
-          grad_bias_[oc] += go;
-          for (size_t ic = 0; ic < in_channels_; ++ic) {
-            for (size_t kh = 0; kh < kernel_size_; ++kh) {
-              const long hi = static_cast<long>(ho * stride_ + kh) -
-                              static_cast<long>(padding_);
-              if (hi < 0 || hi >= static_cast<long>(h_in)) continue;
-              for (size_t kw = 0; kw < kernel_size_; ++kw) {
-                const long wi = static_cast<long>(wo * stride_ + kw) -
-                                static_cast<long>(padding_);
-                if (wi < 0 || wi >= static_cast<long>(w_in)) continue;
-                const size_t hiu = static_cast<size_t>(hi);
-                const size_t wiu = static_cast<size_t>(wi);
-                grad_weight_.At(oc, ic, kh, kw) +=
-                    go * cached_input_.At(b, ic, hiu, wiu);
-                grad_input.At(b, ic, hiu, wiu) +=
-                    go * weight_.At(oc, ic, kh, kw);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+      Workspace::ThreadLocal().NewTensor(cached_input_.shape());
+  ConvBackward(g, std::as_const(cached_input_).data(),
+               std::as_const(weight_).data(), grad_output.data(),
+               grad_weight_.data(), grad_bias_.data(), grad_input.data());
   return grad_input;
 }
 
@@ -145,28 +106,27 @@ Tensor MaxPool2d::Forward(const Tensor& input, bool /*training*/) {
                    "MaxPool2d window larger than input");
   const size_t h_out = h_in / window_, w_out = w_in / window_;
   Tensor out = Workspace::ThreadLocal().NewTensor({batch, ch, h_out, w_out});
-  argmax_.assign(out.size(), 0);
+  argmax_.resize(out.size());
+  const double* x = input.data();
+  double* o = out.data();
   size_t flat = 0;
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t c = 0; c < ch; ++c) {
-      for (size_t ho = 0; ho < h_out; ++ho) {
-        for (size_t wo = 0; wo < w_out; ++wo, ++flat) {
-          double best = -std::numeric_limits<double>::infinity();
-          size_t best_idx = 0;
-          for (size_t kh = 0; kh < window_; ++kh) {
-            for (size_t kw = 0; kw < window_; ++kw) {
-              const size_t hi = ho * window_ + kh;
-              const size_t wi = wo * window_ + kw;
-              const size_t idx = ((b * ch + c) * h_in + hi) * w_in + wi;
-              if (input[idx] > best) {
-                best = input[idx];
-                best_idx = idx;
-              }
+  for (size_t plane = 0; plane < batch * ch; ++plane) {
+    const size_t base = plane * h_in * w_in;
+    for (size_t ho = 0; ho < h_out; ++ho) {
+      for (size_t wo = 0; wo < w_out; ++wo, ++flat) {
+        double best = -std::numeric_limits<double>::infinity();
+        size_t best_idx = 0;
+        for (size_t kh = 0; kh < window_; ++kh) {
+          const size_t row = base + (ho * window_ + kh) * w_in + wo * window_;
+          for (size_t kw = 0; kw < window_; ++kw) {
+            if (x[row + kw] > best) {
+              best = x[row + kw];
+              best_idx = row + kw;
             }
           }
-          out.At(b, c, ho, wo) = best;
-          argmax_[flat] = best_idx;
         }
+        o[flat] = best;
+        argmax_[flat] = best_idx;
       }
     }
   }
@@ -178,9 +138,9 @@ Tensor MaxPool2d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.size() == argmax_.size());
   Tensor grad_input =
       Workspace::ThreadLocal().ZeroTensor(cached_input_.shape());
-  for (size_t i = 0; i < argmax_.size(); ++i) {
-    grad_input[argmax_[i]] += grad_output[i];
-  }
+  const double* go = grad_output.data();
+  double* gi = grad_input.data();
+  for (size_t i = 0; i < argmax_.size(); ++i) gi[argmax_[i]] += go[i];
   return grad_input;
 }
 
@@ -213,14 +173,12 @@ Tensor GlobalAvgPool2d::Forward(const Tensor& input, bool /*training*/) {
   const size_t batch = input.dim(0), ch = input.dim(1);
   const size_t hw = input.dim(2) * input.dim(3);
   Tensor out = Workspace::ThreadLocal().NewTensor({batch, ch});
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t c = 0; c < ch; ++c) {
-      double s = 0.0;
-      for (size_t h = 0; h < input.dim(2); ++h) {
-        for (size_t w = 0; w < input.dim(3); ++w) s += input.At(b, c, h, w);
-      }
-      out.At(b, c) = s / static_cast<double>(hw);
-    }
+  const double* x = input.data();
+  double* o = out.data();
+  for (size_t plane = 0; plane < batch * ch; ++plane) {
+    double s = 0.0;
+    for (size_t i = 0; i < hw; ++i) s += x[plane * hw + i];
+    o[plane] = s / static_cast<double>(hw);
   }
   return out;
 }
@@ -229,16 +187,14 @@ Tensor GlobalAvgPool2d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK_MSG(!cached_shape_.empty(), "Backward before Forward");
   // Every element is assigned below.
   Tensor grad_input = Workspace::ThreadLocal().NewTensor(cached_shape_);
-  const size_t batch = cached_shape_[0], ch = cached_shape_[1];
-  const size_t h = cached_shape_[2], w = cached_shape_[3];
-  const double scale = 1.0 / static_cast<double>(h * w);
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t c = 0; c < ch; ++c) {
-      const double g = grad_output.At(b, c) * scale;
-      for (size_t hh = 0; hh < h; ++hh) {
-        for (size_t ww = 0; ww < w; ++ww) grad_input.At(b, c, hh, ww) = g;
-      }
-    }
+  const size_t planes = cached_shape_[0] * cached_shape_[1];
+  const size_t hw = cached_shape_[2] * cached_shape_[3];
+  TASFAR_CHECK(grad_output.rank() == 2 && grad_output.size() == planes);
+  const double scale = 1.0 / static_cast<double>(hw);
+  const double* go = grad_output.data();
+  double* gi = grad_input.data();
+  for (size_t plane = 0; plane < planes; ++plane) {
+    std::fill(gi + plane * hw, gi + (plane + 1) * hw, go[plane] * scale);
   }
   return grad_input;
 }

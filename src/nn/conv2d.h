@@ -9,6 +9,7 @@
 namespace tasfar {
 
 class Rng;
+struct ConvGeometry;
 
 /// 2-D convolution over {batch, channels, height, width} tensors — the
 /// building block of the multi-column CNN crowd counter (the paper's MCNN
@@ -29,6 +30,8 @@ class Conv2d : public Layer {
   size_t OutputExtent(size_t n) const;
 
  private:
+  ConvGeometry Geometry(size_t batch, size_t h_in, size_t w_in) const;
+
   size_t in_channels_, out_channels_, kernel_size_, stride_, padding_;
   Tensor weight_;  ///< {out_ch, in_ch, k, k}
   Tensor bias_;    ///< {out_ch}

@@ -1,5 +1,7 @@
 #include "nn/multi_column.h"
 
+#include <algorithm>
+
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -33,14 +35,16 @@ Tensor MultiColumn::Forward(const Tensor& input, bool training) {
   }
   // Every element is assigned below.
   Tensor fused = Workspace::ThreadLocal().NewTensor({batch, total_width});
-  for (size_t b = 0; b < batch; ++b) {
-    size_t offset = 0;
-    for (const Tensor& out : outputs) {
-      for (size_t j = 0; j < out.dim(1); ++j) {
-        fused.At(b, offset + j) = out.At(b, j);
-      }
-      offset += out.dim(1);
+  double* dst = fused.data();
+  size_t offset = 0;
+  for (const Tensor& out : outputs) {
+    const size_t width = out.dim(1);
+    const double* src = out.data();
+    for (size_t b = 0; b < batch; ++b) {
+      std::copy(src + b * width, src + (b + 1) * width,
+                dst + b * total_width + offset);
     }
+    offset += width;
   }
   return fused;
 }
@@ -49,16 +53,19 @@ Tensor MultiColumn::Backward(const Tensor& grad_output) {
   TASFAR_CHECK_MSG(!branch_widths_.empty(), "Backward before Forward");
   TASFAR_CHECK(grad_output.rank() == 2);
   const size_t batch = grad_output.dim(0);
+  const size_t cols = grad_output.dim(1);
+  const double* src = grad_output.data();
   Tensor grad_input;
   size_t offset = 0;
   Workspace& ws = Workspace::ThreadLocal();
   for (size_t k = 0; k < branches_.size(); ++k) {
     const size_t width = branch_widths_[k];
+    TASFAR_CHECK(offset + width <= cols);
     Tensor grad_branch = ws.NewTensor({batch, width});
+    double* dst = grad_branch.data();
     for (size_t b = 0; b < batch; ++b) {
-      for (size_t j = 0; j < width; ++j) {
-        grad_branch.At(b, j) = grad_output.At(b, offset + j);
-      }
+      const double* row = src + b * cols + offset;
+      std::copy(row, row + width, dst + b * width);
     }
     offset += width;
     Tensor g = branches_[k]->Backward(grad_branch);
@@ -68,7 +75,7 @@ Tensor MultiColumn::Backward(const Tensor& grad_output) {
       grad_input += g;
     }
   }
-  TASFAR_CHECK(offset == grad_output.dim(1));
+  TASFAR_CHECK(offset == cols);
   return grad_input;
 }
 

@@ -40,9 +40,10 @@ size_t CheckedElementCount(const std::vector<size_t>& shape);
 /// ranges); `data()` therefore always points at `size()` consecutive
 /// doubles, and kernels may stream it directly.
 ///
-/// The one hot spot, MatMul, uses a cache-blocked kernel with a row-sharded
-/// parallel outer loop on the global thread pool (util/thread_pool.h); its
-/// results are bit-identical at every thread count. `MatMulInto` and the
+/// MatMul uses a cache-blocked kernel with a row-sharded parallel outer
+/// loop on the global thread pool (util/thread_pool.h); its results are
+/// bit-identical at every thread count. The other hot spot, convolution,
+/// has its own sharded kernel in nn/conv_kernel.h. `MatMulInto` and the
 /// other *Into kernels write into caller-provided tensors (typically drawn
 /// from a per-thread Workspace) so steady-state hot loops allocate nothing.
 ///

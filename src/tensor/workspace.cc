@@ -7,10 +7,25 @@
 
 namespace tasfar {
 
+namespace {
+
+/// The workspace installed by the innermost live Scope on this thread.
+thread_local Workspace* tls_scoped = nullptr;
+
+}  // namespace
+
 Workspace& Workspace::ThreadLocal() {
+  if (tls_scoped != nullptr) return *tls_scoped;
   static thread_local Workspace workspace;
   return workspace;
 }
+
+Workspace::Scope::Scope(Workspace* workspace) : previous_(tls_scoped) {
+  TASFAR_CHECK(workspace != nullptr);
+  tls_scoped = workspace;
+}
+
+Workspace::Scope::~Scope() { tls_scoped = previous_; }
 
 std::shared_ptr<detail::TensorBuffer> Workspace::Acquire(size_t n) {
   if (n == 0) return nullptr;

@@ -28,21 +28,43 @@ namespace tasfar {
 /// (possibly stale data from a previous checkout); use `ZeroTensor` when
 /// the consumer does not overwrite every element.
 ///
-/// Thread model: `ThreadLocal()` returns this thread's pool; the Workspace
-/// object itself is not synchronized and must only be used by its owning
-/// thread. Tensors drawn from it may be released on any thread (the buffer
-/// refcount is atomic); the block simply becomes reusable by the owning
-/// thread's next acquisition. See docs/MEMORY.md.
+/// Thread model: `ThreadLocal()` returns this thread's pool (or the pool a
+/// `Workspace::Scope` installed on this thread); the Workspace object
+/// itself is not synchronized and must only be used by one thread at a
+/// time. Tensors drawn from it may be released on any thread (the buffer
+/// refcount is atomic); the block simply becomes reusable by the pool's
+/// next acquisition. See docs/MEMORY.md.
 class Workspace {
  public:
   Workspace() = default;
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// The calling thread's workspace. Thread-pool workers are persistent
-  /// (util/thread_pool.h), so their pools survive across parallel regions
-  /// and reuse kicks in from the second pass onward.
+  /// The calling thread's workspace: the one the innermost live `Scope`
+  /// on this thread installed, else the thread's own pool. Thread-pool
+  /// workers are persistent (util/thread_pool.h), so their pools survive
+  /// across parallel regions and reuse kicks in from the second pass
+  /// onward.
   static Workspace& ThreadLocal();
+
+  /// Routes this thread's `ThreadLocal()` to another workspace for the
+  /// scope's lifetime; scopes nest, and destruction restores the previous
+  /// routing. For work that hops between pool workers from call to call
+  /// (an ensemble member's pass, one ParallelFor task each): pinning each
+  /// unit of work to one workspace makes its steady state allocation-free
+  /// whichever worker runs it. The caller guarantees one thread at a time
+  /// per workspace (a lock, or a ParallelFor region boundary).
+  class Scope {
+   public:
+    explicit Scope(Workspace* workspace);
+    ~Scope();
+
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    Workspace* previous_;
+  };
 
   /// Tensor of the given shape with UNINITIALIZED contents, drawn from the
   /// pool when a free buffer fits.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -15,6 +16,32 @@
 #include "util/thread_pool.h"
 
 namespace tasfar {
+namespace {
+
+/// Member k of every ensemble runs its pass on lane k % kMemberLanes: the
+/// lane's Workspace serves every buffer of the pass, including the
+/// activations the member caches until its next pass. A member thus
+/// returns its old buffers to the pool its next pass draws from, whichever
+/// worker runs it, so a warm Predict allocates nothing (a worker's own
+/// pool would have to grow to the most members it was ever handed in one
+/// call). Lanes are shared by every ensemble, so one set of free buffers
+/// per lane serves them all; the lock keeps a lane to one pass at a time
+/// when two ensembles Predict concurrently. Eight lanes hold the default
+/// five members (TasfarOptions::ensemble_members) without two members of
+/// one ensemble taking turns on a lane.
+constexpr size_t kMemberLanes = 8;
+
+struct MemberLane {
+  std::mutex mu;
+  Workspace workspace;
+};
+
+MemberLane& LaneOf(size_t member) {
+  static MemberLane lanes[kMemberLanes];
+  return lanes[member % kMemberLanes];
+}
+
+}  // namespace
 
 DeepEnsemble::DeepEnsemble(
     std::vector<std::unique_ptr<Sequential>> members)
@@ -93,10 +120,13 @@ std::vector<McPrediction> DeepEnsemble::Predict(const Tensor& inputs) const {
   // irrelevant to its output. Tasks only read `inputs` and write disjoint
   // `passes` slots, so the fan-out is race-free and the reduction below —
   // done serially in ascending member order — is byte-identical at every
-  // thread count.
+  // thread count. Each pass runs on its member's lane (LaneOf).
   const size_t num_members = members_.size();
   std::vector<Tensor> passes(num_members);
   ParallelFor(0, num_members, /*grain=*/1, [&](size_t k) {
+    MemberLane& lane = LaneOf(k);
+    const std::lock_guard<std::mutex> lock(lane.mu);
+    const Workspace::Scope scope(&lane.workspace);
     const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
     Sequential* member = members_[k].get();
     if (stochastic_members_) member->ReseedStochastic(MixSeed(seed_, k));

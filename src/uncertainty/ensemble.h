@@ -34,10 +34,12 @@ namespace tasfar {
 /// Parallelism and determinism (docs/THREADING.md): Predict fans one
 /// forward pass per member across the global thread pool; each member is
 /// touched by exactly one task, and the cross-member reduction runs
-/// serially in ascending member order through per-thread Workspace
-/// arenas (docs/MEMORY.md), so results are byte-identical at every
-/// TASFAR_NUM_THREADS and steady-state Predict allocates no tensor
-/// buffers. Member forward passes mutate per-member activation caches,
+/// serially in ascending member order, so results are byte-identical at
+/// every TASFAR_NUM_THREADS. Member k's pass draws its buffers from a
+/// Workspace arena fixed by k (docs/MEMORY.md), not from the worker that
+/// happens to run it, so steady-state Predict allocates no tensor buffers
+/// however the pool hands members to workers. Member forward passes
+/// mutate per-member activation caches,
 /// so concurrent Predict calls on one DeepEnsemble are NOT safe (serve
 /// sessions serialize Predict under the session lock).
 class DeepEnsemble : public UncertaintyEstimator {

@@ -1,20 +1,28 @@
-// Golden end-to-end determinism (ISSUE 4): the full TASFAR pipeline —
-// source training → calibration → confidence split → density map →
-// pseudo-labels → weighted fine-tuning — on a fixed-seed housing_sim
-// target must be byte-identical across repeated runs and across thread
-// counts. PR 2 proved layer-level equality; this pins the whole pipeline:
-// pseudo-label values, credibilities, and the serialized final weights are
-// compared as exact doubles / exact bytes, no tolerances.
+// Golden end-to-end determinism: the full TASFAR pipeline — source
+// training → calibration → confidence split → density map → pseudo-labels
+// → weighted fine-tuning — on fixed-seed targets must be byte-identical
+// across repeated runs and across thread counts. reproducibility_test.cc
+// pins layer-level equality; this pins the whole pipeline: pseudo-label
+// values, credibilities, and the serialized final weights are compared as
+// exact doubles / exact bytes, no tolerances. Three fixtures cover every
+// layer the task models use: the housing MLP (Dense), a crowd counter
+// (Conv2d, MaxPool2d, GlobalAvgPool2d, MultiColumn) and a PDR regressor
+// (Conv1d).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/tasfar.h"
+#include "data/crowd_sim.h"
 #include "data/housing_sim.h"
+#include "data/pdr_sim.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/sequential.h"
 #include "nn/serialize.h"
 #include "nn/trainer.h"
 #include "util/thread_pool.h"
@@ -24,6 +32,7 @@ namespace {
 
 /// Everything the pipeline produces, captured in comparable form.
 struct GoldenRun {
+  std::string name;
   std::string source_weights;   ///< SerializeParams of the trained source.
   std::string adapted_weights;  ///< SerializeParams of the adapted model.
   double tau = 0.0;
@@ -34,7 +43,32 @@ struct GoldenRun {
   bool fell_back = false;
 };
 
-GoldenRun RunPipeline() {
+/// A trained source model with the source rows to calibrate it on and the
+/// target rows to adapt it to.
+struct Fixture {
+  std::string name;
+  std::unique_ptr<Sequential> model;
+  Tensor source_x;
+  Tensor source_y;
+  Tensor target_x;
+  TasfarOptions options;
+};
+
+void TrainSource(Sequential* model, const Tensor& x, const Tensor& y,
+                 size_t epochs, Rng* rng) {
+  Adam opt(1e-3);
+  Trainer trainer(model, &opt,
+                  [](const Tensor& p, const Tensor& t, Tensor* g,
+                     const std::vector<double>* w) {
+                    return loss::Mse(p, t, g, w);
+                  });
+  TrainConfig tc;
+  tc.epochs = epochs;
+  tc.batch_size = 32;
+  trainer.Fit(x, y, tc, rng);
+}
+
+Fixture Housing() {
   HousingSimConfig sim_cfg;
   sim_cfg.source_samples = 240;
   sim_cfg.target_samples = 120;
@@ -43,34 +77,87 @@ GoldenRun RunPipeline() {
   Dataset target = sim.GenerateTarget();
   Normalizer norm;
   norm.Fit(source.inputs);
-  const Tensor src_x = norm.Apply(source.inputs);
-  const Tensor tgt_x = norm.Apply(target.inputs);
-
+  Fixture f;
+  f.name = "housing";
+  f.source_x = norm.Apply(source.inputs);
+  f.source_y = source.targets;
+  f.target_x = norm.Apply(target.inputs);
   Rng rng(101);
-  auto model = BuildTabularModel(kNumHousingFeatures, &rng);
-  Adam opt(1e-3);
-  Trainer trainer(model.get(), &opt,
-                  [](const Tensor& p, const Tensor& t, Tensor* g,
-                     const std::vector<double>* w) {
-                    return loss::Mse(p, t, g, w);
-                  });
-  TrainConfig tc;
-  tc.epochs = 8;
-  tc.batch_size = 32;
-  trainer.Fit(src_x, source.targets, tc, &rng);
+  f.model = BuildTabularModel(kNumHousingFeatures, &rng);
+  TrainSource(f.model.get(), f.source_x, f.source_y, 8, &rng);
+  f.options.mc_samples = 8;
+  f.options.num_segments = 10;
+  f.options.adaptation.train.epochs = 8;
+  return f;
+}
 
-  TasfarOptions options;
-  options.mc_samples = 8;
-  options.num_segments = 10;
-  options.adaptation.train.epochs = 8;
-  Tasfar tasfar(options);
+/// One street scene of 16×16 images; the counter regresses log1p(count).
+Fixture Crowd() {
+  CrowdSimConfig cfg;
+  cfg.image_size = 16;
+  cfg.part_a_images = 96;
+  cfg.part_b_images = 48;
+  cfg.num_scenes_b = 1;
+  CrowdSimulator sim(cfg, /*seed=*/78);
+  Dataset source = sim.GeneratePartA();
+  source.targets.MapInPlace([](double y) { return std::log1p(y); });
+  Fixture f;
+  f.name = "crowd";
+  f.source_x = source.inputs;
+  f.source_y = source.targets;
+  f.target_x = sim.GeneratePartB().inputs;
+  Rng rng(102);
+  f.model = BuildCrowdModel(cfg.image_size, &rng);
+  TrainSource(f.model.get(), f.source_x, f.source_y, 4, &rng);
+  f.options.mc_samples = 8;
+  f.options.num_segments = 10;
+  f.options.adaptation.train.epochs = 4;
+  return f;
+}
+
+/// One unseen pedestrian's adaptation trajectories.
+Fixture Pdr() {
+  PdrSimConfig cfg;
+  cfg.num_seen_users = 2;
+  cfg.num_unseen_users = 1;
+  cfg.source_steps_per_user = 100;
+  cfg.steps_per_trajectory = 10;
+  PdrSimulator sim(cfg, /*seed=*/79);
+  Dataset source = sim.GenerateSourceDataset();
+  const std::vector<PdrUserData> users = sim.GenerateTargetUsers();
+  std::vector<Dataset> steps;
+  for (const PdrTrajectory& t : users.back().adaptation) {
+    steps.push_back(t.steps);
+  }
+  Fixture f;
+  f.name = "pdr";
+  f.source_x = source.inputs;
+  f.source_y = source.targets;
+  f.target_x = Concat(steps).inputs;
+  Rng rng(103);
+  f.model = BuildPdrModel(cfg.window_len, &rng);
+  TrainSource(f.model.get(), f.source_x, f.source_y, 4, &rng);
+  f.options.mc_samples = 8;
+  f.options.num_segments = 10;
+  f.options.adaptation.train.epochs = 4;
+  return f;
+}
+
+using MakeFixture = Fixture (*)();
+constexpr MakeFixture kFixtures[] = {Housing, Crowd, Pdr};
+
+GoldenRun RunPipeline(MakeFixture make) {
+  Fixture f = make();
+  Tasfar tasfar(f.options);
   const SourceCalibration calib =
-      tasfar.Calibrate(model.get(), src_x, source.targets);
+      tasfar.Calibrate(f.model.get(), f.source_x, f.source_y);
   Rng adapt_rng(202);
-  TasfarReport report = tasfar.Adapt(model.get(), calib, tgt_x, &adapt_rng);
+  TasfarReport report =
+      tasfar.Adapt(f.model.get(), calib, f.target_x, &adapt_rng);
 
   GoldenRun run;
-  run.source_weights = SerializeParams(model.get());
+  run.name = f.name;
+  run.source_weights = SerializeParams(f.model.get());
   run.adapted_weights = SerializeParams(report.target_model.get());
   run.tau = report.tau;
   run.uncertain_indices = report.uncertain_indices;
@@ -101,26 +188,31 @@ class GoldenPipelineTest : public ::testing::Test {
 };
 
 TEST_F(GoldenPipelineTest, RepeatedRunsAreByteIdentical) {
-  const GoldenRun first = RunPipeline();
-  // The fixture must exercise the real pipeline, not a degenerate skip.
-  ASSERT_FALSE(first.skipped);
-  ASSERT_FALSE(first.fell_back);
-  ASSERT_FALSE(first.pseudo_values.empty());
-  ASSERT_NE(first.adapted_weights, first.source_weights);
-  const GoldenRun second = RunPipeline();
-  ExpectIdentical(first, second, "repeat run");
+  for (MakeFixture make : kFixtures) {
+    const GoldenRun first = RunPipeline(make);
+    // The fixture must exercise the real pipeline, not a degenerate skip.
+    ASSERT_FALSE(first.skipped) << first.name;
+    ASSERT_FALSE(first.fell_back) << first.name;
+    ASSERT_FALSE(first.pseudo_values.empty()) << first.name;
+    ASSERT_NE(first.adapted_weights, first.source_weights) << first.name;
+    const GoldenRun second = RunPipeline(make);
+    ExpectIdentical(first, second, first.name + " repeat run");
+  }
 }
 
 TEST_F(GoldenPipelineTest, ThreadCountDoesNotChangeAnyByte) {
-  SetNumThreads(1);
-  const GoldenRun t1 = RunPipeline();
-  ASSERT_FALSE(t1.skipped);
-  SetNumThreads(2);
-  const GoldenRun t2 = RunPipeline();
-  SetNumThreads(8);
-  const GoldenRun t8 = RunPipeline();
-  ExpectIdentical(t1, t2, "1 vs 2 threads");
-  ExpectIdentical(t1, t8, "1 vs 8 threads");
+  for (MakeFixture make : kFixtures) {
+    SetNumThreads(1);
+    const GoldenRun t1 = RunPipeline(make);
+    ASSERT_FALSE(t1.skipped) << t1.name;
+    ASSERT_FALSE(t1.fell_back) << t1.name;
+    SetNumThreads(2);
+    const GoldenRun t2 = RunPipeline(make);
+    SetNumThreads(8);
+    const GoldenRun t8 = RunPipeline(make);
+    ExpectIdentical(t1, t2, t1.name + " 1 vs 2 threads");
+    ExpectIdentical(t1, t8, t1.name + " 1 vs 8 threads");
+  }
 }
 
 }  // namespace

@@ -202,8 +202,9 @@ TEST(SourceEnsembleTest, PredictMeanEqualsSourcePrediction) {
 }
 
 TEST(SourceEnsembleTest, SteadyStatePredictAllocatesNothing) {
-  // Member passes run on per-thread Workspace arenas (docs/MEMORY.md):
-  // once warm, Predict must not allocate a single tensor buffer.
+  // Member k's pass runs on a Workspace arena fixed by k, whichever
+  // worker takes it (docs/MEMORY.md): once warm, Predict must not
+  // allocate a single tensor buffer.
   Rng rng(35);
   auto model = DropoutModel(&rng);
   DeepEnsemble ensemble = DeepEnsemble::FromSource(model.get(), 5, 0x5eed);
@@ -215,6 +216,33 @@ TEST(SourceEnsembleTest, SteadyStatePredictAllocatesNothing) {
   EXPECT_EQ(after.alloc_count, before.alloc_count);
   EXPECT_GT(after.workspace_reuses, before.workspace_reuses);
   ASSERT_EQ(preds.size(), 32u);
+}
+
+TEST(SourceEnsembleTest, ConcurrentEnsemblesShareMemberLanes) {
+  // Member k of every ensemble runs on the same Workspace lane, so two
+  // ensembles predicting at once contend for each lane: they must take
+  // turns on it (TSan checks the pool accesses) and still return the
+  // bytes each returns alone.
+  Rng rng(38);
+  auto model_a = DropoutModel(&rng);
+  auto model_b = DropoutModel(&rng);
+  DeepEnsemble a = DeepEnsemble::FromSource(model_a.get(), 5, 0x5eed);
+  DeepEnsemble b = DeepEnsemble::FromSource(model_b.get(), 5, 0xfeed);
+  Tensor x = Tensor::RandomNormal({40, 2}, &rng);
+  const auto want_a = a.Predict(x);
+  const auto want_b = b.Predict(x);
+  std::vector<McPrediction> got_a;
+  std::vector<McPrediction> got_b;
+  {
+    BackgroundThread run_a("ensemble-a", [&] {
+      for (int i = 0; i < 20; ++i) got_a = a.Predict(x);
+    });
+    BackgroundThread run_b("ensemble-b", [&] {
+      for (int i = 0; i < 20; ++i) got_b = b.Predict(x);
+    });
+  }
+  ExpectIdentical(got_a, want_a);
+  ExpectIdentical(got_b, want_b);
 }
 
 TEST(SourceEnsembleTest, ReseedRerollsTheMemberStreams) {

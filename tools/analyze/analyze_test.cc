@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,11 @@ struct RuleCase {
   int expected;
 };
 
+// Cases print as their name, so the test ids ctest derives from the
+// printed parameter stay the same from build to build (the default
+// printer dumps the struct's bytes, pointer values included).
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
 class ParallelCaptureTest : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(ParallelCaptureTest, Detects) {
@@ -158,7 +164,26 @@ INSTANTIATE_TEST_SUITE_P(
                  "    out[i] = n;\n"
                  "  });\n"
                  "}\n",
-                 0}));
+                 0},
+        RuleCase{"comma_declarators_are_locals",
+                 "void F() {\n"
+                 "  ParallelFor(0, n, 1, [&](size_t s) {\n"
+                 "    const size_t b = s / m, oc = s % m, *p = &b;\n"
+                 "    b = 1;\n"
+                 "    oc += b;\n"
+                 "    p = nullptr;\n"
+                 "  });\n"
+                 "}\n",
+                 0},
+        RuleCase{"comma_expression_still_writes_captures",
+                 "void F() {\n"
+                 "  ParallelFor(0, n, 1, [&](size_t s) {\n"
+                 "    double x = 0.0;\n"
+                 "    a = 1, b = 2;\n"
+                 "    out[s] = a + b + x;\n"
+                 "  });\n"
+                 "}\n",
+                 2}));
 
 // --- into-aliasing ----------------------------------------------------------
 
@@ -205,6 +230,8 @@ struct PathRuleCase {
   const char* source;
   int expected;
 };
+
+void PrintTo(const PathRuleCase& c, std::ostream* os) { *os << c.name; }
 
 class WorkspaceEscapeTest : public ::testing::TestWithParam<PathRuleCase> {};
 

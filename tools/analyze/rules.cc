@@ -130,13 +130,46 @@ bool ParseLambda(const std::vector<Token>& code, size_t intro, Lambda* out) {
   // Body-local declarations: an identifier whose previous token reads as
   // the tail of a declarator (type name, ">", "*", "&", "&&"). Over-
   // collecting (e.g. `a & b`) only makes the rule more permissive.
-  for (size_t k = out->body_open + 1; k < out->body_close; ++k) {
-    if (code[k].kind != TokKind::kIdent) continue;
+  auto declares = [&](size_t k) {
     const Token& prev = code[k - 1];
-    if (prev.kind == TokKind::kIdent || IsPunct(prev, ">") ||
-        IsPunct(prev, "*") || IsPunct(prev, "&") || IsPunct(prev, "&&")) {
-      out->locals.insert(code[k].text);
+    return code[k].kind == TokKind::kIdent &&
+           (prev.kind == TokKind::kIdent || IsPunct(prev, ">") ||
+            IsPunct(prev, "*") || IsPunct(prev, "&") || IsPunct(prev, "&&"));
+  };
+  for (size_t k = out->body_open + 1; k < out->body_close; ++k) {
+    if (declares(k)) out->locals.insert(code[k].text);
+  }
+  // Later declarators of a declaration statement, `size_t b = 0, oc = 1;`:
+  // a statement declares when its first declarator comes before any
+  // assignment, so the comma expression `a = 1, b = 2;` stays a write.
+  bool declaration = false;
+  bool assigned = false;
+  int depth = 0;
+  for (size_t k = out->body_open + 1; k < out->body_close; ++k) {
+    const Token& t = code[k];
+    if (t.kind == TokKind::kPunct) {
+      const std::string& text = t.text;
+      if (depth == 0 && (text == ";" || text == "{" || text == "}")) {
+        declaration = false;
+        assigned = false;
+        continue;
+      }
+      if (text == "(" || text == "[" || text == "{") ++depth;
+      if (text == ")" || text == "]" || text == "}") --depth;
+      if (depth == 0 && IsAssignOp(t)) assigned = true;
+      if (depth == 0 && text == "," && declaration) {
+        size_t name = k + 1;
+        while (name < out->body_close &&
+               (IsPunct(code[name], "*") || IsPunct(code[name], "&"))) {
+          ++name;
+        }
+        if (name < out->body_close && code[name].kind == TokKind::kIdent) {
+          out->locals.insert(code[name].text);
+        }
+      }
+      continue;
     }
+    if (depth == 0 && !assigned && declares(k)) declaration = true;
   }
   return true;
 }
