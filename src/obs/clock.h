@@ -11,7 +11,7 @@ namespace tasfar::obs {
 /// are mutually comparable and immune to wall-clock jumps.
 ///
 /// src/obs is the only place in src/ allowed to touch std::chrono (the
-/// timing-discipline lint rule enforces this); everything else times
+/// timing-discipline analyzer rule enforces this); everything else times
 /// itself through this function or TASFAR_TRACE_SPAN.
 uint64_t MonotonicMicros();
 

@@ -10,7 +10,7 @@
 namespace tasfar::serve {
 
 /// The TASFAR serving wire protocol (docs/PROTOCOL.md is the normative
-/// spec; the `protocol-doc-sync` lint rule keeps the two in lockstep).
+/// spec; the `protocol-doc-sync` analyzer rule keeps the two in lockstep).
 ///
 /// Every message travels in one frame:
 ///

@@ -165,7 +165,7 @@ const F32Kernels* KernelsFor(KernelBackend backend) {
   if (table != nullptr) {
     // A backend table with a hole would dispatch through nullptr much
     // later, in a hot loop; fail loudly at lookup instead. The
-    // simd-discipline lint rule enforces the same completeness at the
+    // simd-discipline analyzer rule enforces the same completeness at the
     // source level.
     TASFAR_CHECK(table->name != nullptr && table->matmul != nullptr &&
                  table->add != nullptr && table->mul != nullptr &&

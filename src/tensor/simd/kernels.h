@@ -8,9 +8,9 @@ namespace tasfar::simd {
 /// One backend's float32 kernel registry.
 ///
 /// Every dispatchable backend (scalar reference, AVX2+FMA, NEON) fills in
-/// every field — the `simd-discipline` lint rule cross-checks each
+/// every field — the `simd-discipline` analyzer rule cross-checks each
 /// `kernels_<backend>.cc` against this struct, so a kernel added here
-/// without a registration in every backend fails the lint tier, and
+/// without a registration in every backend fails analyze_repo_invariants, and
 /// `dispatch.cc` additionally TASFAR_CHECKs all pointers non-null before
 /// publishing a table.
 ///

@@ -1,7 +1,7 @@
 // AVX2+FMA float32 backend. This is the only translation unit in the tree
 // built with -mavx2 -mfma (see src/tensor/CMakeLists.txt), and together
 // with kernels_neon.cc the only place raw intrinsics are allowed — the
-// `simd-discipline` lint rule rejects them anywhere else. Every kernel
+// `simd-discipline` analyzer rule rejects them anywhere else. Every kernel
 // reproduces the scalar reference bit-for-bit (contract in kernels.h):
 // matmul accumulates each output element over ascending p with one fused
 // multiply-add per step, and relu/add/mul are single correctly-rounded

@@ -1,5 +1,5 @@
 // NEON float32 backend (aarch64). Together with kernels_avx2.cc this is
-// the only place raw intrinsics are allowed (`simd-discipline` lint rule).
+// the only place raw intrinsics are allowed (`simd-discipline` rule).
 // Every kernel reproduces the scalar reference bit-for-bit — see the
 // contract in kernels.h. Note relu deliberately uses compare+select
 // rather than vmaxq_f32: NEON vmax propagates NaN, while the contract

@@ -29,7 +29,7 @@ struct McPrediction {
 /// Wire/config identifier of an uncertainty backend. Values are frozen:
 /// they travel in the serve protocol's kCreateSession payload
 /// (docs/PROTOCOL.md §Uncertainty backends) and must stay in sync with
-/// the doc table — tools/lint cross-checks both ways.
+/// the doc table — tools/analyze cross-checks both ways.
 enum class UncertaintyBackend : std::uint8_t {
   kMcDropout = 0,
   kDeepEnsemble = 1,
@@ -112,7 +112,7 @@ struct EstimatorConfig {
 
 /// Builds the configured backend over `model` (which must outlive the
 /// estimator). This is the only sanctioned construction path outside
-/// src/uncertainty/ — tools/lint's estimator-discipline rule rejects
+/// src/uncertainty/ — tools/analyze's estimator-discipline rule rejects
 /// direct backend construction elsewhere under src/.
 std::unique_ptr<UncertaintyEstimator> MakeEstimator(
     Sequential* model, const EstimatorConfig& config);

@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -316,9 +318,13 @@ std::vector<Finding> RegistryFindings(const std::string& src,
   std::vector<FileFacts> facts;
   facts.push_back(AnalyzeSource("src/core/fixture.cc", src));
   DocNames docs;
-  ScanDocNames("docs/OBSERVABILITY.md", obs_doc, &docs);
-  ScanDocNames("docs/TESTING.md", testing_doc, &docs);
-  return CheckRegistryConsistency(facts, docs);
+  ScanDoc("docs/OBSERVABILITY.md", obs_doc, &docs);
+  ScanDoc("docs/TESTING.md", testing_doc, &docs);
+  std::vector<Finding> findings;
+  for (const Finding& f : CheckWholeProgram(facts, docs)) {
+    if (f.rule == "registry-consistency") findings.push_back(f);
+  }
+  return findings;
 }
 
 TEST(RegistryConsistencyTest, UndocumentedMetricIsFlagged) {
@@ -432,11 +438,20 @@ TEST(FactsTest, ExtractsFlightCodesAsSnakeCaseNames) {
       "};\n"
       "// Usage elsewhere must not double-count:\n"
       "inline void F() { auto c = FlightCode::kAdaptQueued; (void)c; }\n");
-  ASSERT_EQ(facts.flight_codes.size(), 3u);
-  EXPECT_EQ(facts.flight_codes[0].name, "serve.flight.session_created");
-  EXPECT_EQ(facts.flight_codes[1].name, "serve.flight.adapt_queued");
-  EXPECT_EQ(facts.flight_codes[2].name, "serve.flight.budget_rejected");
-  EXPECT_EQ(facts.flight_codes[0].line, 2);
+  ASSERT_EQ(facts.enumerators.size(), 3u);
+  EXPECT_EQ(facts.enumerators[0].enum_name, "FlightCode");
+  EXPECT_EQ(facts.enumerators[0].name, "kSessionCreated");
+  EXPECT_EQ(facts.enumerators[0].line, 2);
+  EXPECT_EQ(facts.enumerators[2].name, "kBudgetRejected");
+  // Each is documented under its snake-case name.
+  DocNames docs;
+  ScanDoc("docs/OBSERVABILITY.md",
+          "`serve.flight.session_created` `serve.flight.adapt_queued`\n"
+          "`serve.flight.budget_rejected`\n",
+          &docs);
+  for (const Finding& f : CheckWholeProgram({facts}, docs)) {
+    EXPECT_NE(f.rule, "registry-consistency") << f.message;
+  }
 }
 
 // --- suppressions & facts extraction ----------------------------------------
@@ -500,6 +515,32 @@ TEST(FactsTest, SerializationRoundTrips) {
   EXPECT_EQ(parsed.failpoints[0].name, "x.poison");
 }
 
+TEST(FactsTest, SyncFactsRoundTrip) {
+  const FileFacts facts = AnalyzeSource(
+      "src/tensor/simd/kernels_fixture.cc",
+      "enum class WireError : uint16_t { kBadRequest = 1, kImplicit };\n"
+      "struct F32Kernels { const char* name; void (*relu)(float* x); };\n"
+      "const F32Kernels kTable = {.name = \"x\", .relu = Relu};\n");
+  ASSERT_EQ(facts.enumerators.size(), 2u);
+  EXPECT_EQ(facts.enumerators[0].enum_name, "WireError");
+  EXPECT_EQ(facts.enumerators[0].name, "kBadRequest");
+  EXPECT_EQ(facts.enumerators[0].value, 1);
+  EXPECT_EQ(facts.enumerators[1].value, -1);
+  EXPECT_EQ(facts.kernel_fields, (std::vector<std::string>{"name", "relu"}));
+  EXPECT_TRUE(facts.has_kernel_table);
+  EXPECT_EQ(facts.kernel_table_fields,
+            (std::vector<std::string>{"name", "relu"}));
+  FileFacts parsed;
+  ASSERT_TRUE(ParseFacts(SerializeFacts(facts), &parsed));
+  ASSERT_EQ(parsed.enumerators.size(), 2u);
+  EXPECT_EQ(parsed.enumerators[1].name, "kImplicit");
+  EXPECT_EQ(parsed.enumerators[1].value, -1);
+  EXPECT_EQ(parsed.enumerators[1].line, 1);
+  EXPECT_EQ(parsed.kernel_fields, facts.kernel_fields);
+  EXPECT_TRUE(parsed.has_kernel_table);
+  EXPECT_EQ(parsed.kernel_table_fields, facts.kernel_table_fields);
+}
+
 TEST(FactsTest, ParseRejectsWrongSchemaVersion) {
   const FileFacts facts = AnalyzeSource("src/a.cc", "void F() {}\n");
   std::string text = SerializeFacts(facts);
@@ -522,14 +563,43 @@ class EngineTest : public ::testing::Test {
                        ->current_test_info()
                        ->name());
     fs::remove_all(root_);
-    fs::create_directories(root_ / "src" / "core");
-    fs::create_directories(root_ / "docs");
+    for (const char* dir : {"src/core", "src/serve", "src/uncertainty",
+                            "src/tensor/simd", "tests", "bench", "examples",
+                            "tools", "docs"}) {
+      fs::create_directories(root_ / dir);
+    }
     WriteFile("docs/MEMORY.md", "# Memory\n");
     WriteFile("docs/OBSERVABILITY.md",
               "# Observability\n`tasfar.sample.count`\n");
     WriteFile("docs/TESTING.md", "# Testing\n### Injection sites\n");
+    // The smallest sources the protocol and kernel-table syncs accept.
+    WriteFile("docs/PROTOCOL.md",
+              "| `kPing` | 10 |\n"
+              "| `kBadRequest` | 1 |\n"
+              "| `kMcDropout` | 0 |\n");
+    WriteFile("src/serve/protocol.h",
+              "#ifndef TASFAR_SERVE_PROTOCOL_H_\n"
+              "#define TASFAR_SERVE_PROTOCOL_H_\n"
+              "enum class MessageType : uint16_t { kPing = 10 };\n"
+              "enum class WireError : uint16_t { kBadRequest = 1 };\n"
+              "#endif\n");
+    WriteFile("src/uncertainty/estimator.h",
+              "#ifndef TASFAR_UNCERTAINTY_ESTIMATOR_H_\n"
+              "#define TASFAR_UNCERTAINTY_ESTIMATOR_H_\n"
+              "enum class UncertaintyBackend : uint8_t { kMcDropout = 0 };\n"
+              "#endif\n");
+    WriteFile("src/tensor/simd/kernels.h",
+              "#ifndef TASFAR_TENSOR_SIMD_KERNELS_H_\n"
+              "#define TASFAR_TENSOR_SIMD_KERNELS_H_\n"
+              "struct F32Kernels { const char* name; };\n"
+              "#endif\n");
+    WriteFile("src/tensor/simd/kernels_scalar.cc",
+              "const F32Kernels kScalar = {.name = \"scalar\"};\n");
     WriteFile("src/core/sample.cc", Sample());
   }
+  /// Source files SetUp writes.
+  static constexpr int kFixtureFiles = 5;
+
   void TearDown() override { fs::remove_all(root_); }
 
   static std::string Sample() {
@@ -541,6 +611,7 @@ class EngineTest : public ::testing::Test {
   }
 
   void WriteFile(const std::string& rel, const std::string& content) {
+    fs::create_directories((root_ / rel).parent_path());
     std::ofstream out(root_ / rel, std::ios::binary | std::ios::trunc);
     out << content;
   }
@@ -558,13 +629,13 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, SecondRunHitsTheCacheWithIdenticalResults) {
   const AnalyzeResult cold = Run();
   ASSERT_FALSE(cold.io_error) << cold.error;
-  EXPECT_EQ(cold.files_scanned, 1);
+  EXPECT_EQ(cold.files_scanned, kFixtureFiles);
   EXPECT_EQ(cold.cache_hits, 0);
-  EXPECT_EQ(cold.cache_misses, 1);
+  EXPECT_EQ(cold.cache_misses, kFixtureFiles);
 
   const AnalyzeResult warm = Run();
   ASSERT_FALSE(warm.io_error) << warm.error;
-  EXPECT_EQ(warm.cache_hits, 1);
+  EXPECT_EQ(warm.cache_hits, kFixtureFiles);
   EXPECT_EQ(warm.cache_misses, 0);
   EXPECT_EQ(warm.findings, cold.findings);
 }
@@ -573,7 +644,7 @@ TEST_F(EngineTest, EditedFileMissesTheCache) {
   Run();
   WriteFile("src/core/sample.cc", Sample() + "\n// touched\n");
   const AnalyzeResult after = Run();
-  EXPECT_EQ(after.cache_hits, 0);
+  EXPECT_EQ(after.cache_hits, kFixtureFiles - 1);
   EXPECT_EQ(after.cache_misses, 1);
 }
 
@@ -597,6 +668,62 @@ TEST_F(EngineTest, UnsuppressedFindingIsCounted) {
   const AnalyzeResult result = Run();
   EXPECT_EQ(result.unsuppressed, 1);
   EXPECT_EQ(result.suppressed, 0);
+}
+
+TEST_F(EngineTest, MergedWalkKeepsEveryRuleScope) {
+  // One body that breaks every per-file rule and registers an
+  // undocumented metric: under src/ each rule fires, under tests/ only
+  // the repo-wide rng-discipline does.
+  const std::string body =
+      "#include <iostream>\n"
+      "#include <chrono>\n"
+      "void F(Tensor by_value) {\n"
+      "  assert(by_value.size() > 0);\n"
+      "  McDropoutPredictor p(model, 20);\n"
+      "  ParallelFor(0, n, 1, [&](size_t i) { total += i; });\n"
+      "  AddInto(sum, t, &sum);\n"
+      "  cached_ = ws.NewTensor({2});\n"
+      "  Rng rng(seed ^ 1);\n"
+      "  obs::Registry::Get().GetCounter(\"tasfar.x.y\");\n"
+      "  int r = std::rand();\n"
+      "}\n";
+  WriteFile("src/core/scope.cc", body);
+  WriteFile("tests/core/scope_test.cc", body);
+  WriteFile("bench/bench_scope.h", "std::thread t;\n");
+  WriteFile("examples/scope_demo.cpp", "__m256 v = _mm256_setzero_ps();\n");
+  // Build trees, dot directories and non-source files are not scanned.
+  WriteFile("src/build_cache/bad.cc", "int r = std::rand();\n");
+  WriteFile("tests/.hidden/bad.cc", "int r = std::rand();\n");
+  WriteFile("bench/build/bad.h", "int r = std::rand();\n");
+  WriteFile("examples/notes.txt", "int r = std::rand();\n");
+
+  const AnalyzeResult result = Run();
+  ASSERT_FALSE(result.io_error) << result.error;
+  EXPECT_EQ(result.files_scanned, kFixtureFiles + 4);
+  std::map<std::string, std::set<std::string>> rules_by_file;
+  for (const Finding& f : result.findings) {
+    if (!f.suppressed) rules_by_file[f.file].insert(f.rule);
+  }
+  const std::set<std::string> src_rules = {
+      "check-not-assert",  "estimator-discipline", "into-aliasing",
+      "memory-discipline", "no-iostream",          "parallel-capture",
+      "registry-consistency", "rng-discipline",    "seed-discipline",
+      "timing-discipline", "workspace-escape"};
+  EXPECT_EQ(rules_by_file["src/core/scope.cc"], src_rules);
+  EXPECT_EQ(rules_by_file["tests/core/scope_test.cc"],
+            std::set<std::string>{"rng-discipline"});
+  EXPECT_EQ(rules_by_file["bench/bench_scope.h"],
+            (std::set<std::string>{"header-guard", "thread-discipline"}));
+  EXPECT_EQ(rules_by_file["examples/scope_demo.cpp"],
+            std::set<std::string>{"simd-discipline"});
+  EXPECT_EQ(rules_by_file.size(), 4u);
+}
+
+TEST_F(EngineTest, MissingRootIsAnIoError) {
+  fs::remove_all(root_ / "examples");
+  const AnalyzeResult result = Run();
+  EXPECT_TRUE(result.io_error);
+  EXPECT_NE(result.error.find("examples"), std::string::npos);
 }
 
 // --- SARIF ------------------------------------------------------------------

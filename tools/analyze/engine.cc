@@ -35,22 +35,38 @@ fs::path CacheEntry(const std::string& cache_dir,
   return fs::path(cache_dir) / (name + ".facts");
 }
 
-/// Sorted repo-relative paths of every src/**/*.{h,cc} file.
+/// Sorted repo-relative paths of every .h/.cc/.cpp file under the source
+/// roots, skipping `build*` and dot directories. A missing root is an
+/// error.
 std::vector<std::string> DiscoverSources(const fs::path& root,
                                          std::string* error) {
   std::vector<std::string> rel;
-  std::error_code ec;
-  fs::recursive_directory_iterator it(root / "src", ec);
-  if (ec) {
-    *error = "cannot walk " + (root / "src").string() + ": " + ec.message();
-    return rel;
-  }
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".h" && ext != ".cc") continue;
-    rel.push_back(
-        fs::relative(entry.path(), root).generic_string());
+  for (const char* dir : {"src", "tests", "bench", "examples", "tools"}) {
+    if (!fs::is_directory(root / dir)) {
+      *error = "source root is not a directory: " + (root / dir).string();
+      return {};
+    }
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(root / dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      const std::string name = it->path().filename().string();
+      if (it->is_directory()) {
+        if (name.compare(0, 5, "build") == 0 || name[0] == '.') {
+          it.disable_recursion_pending();
+        }
+        continue;
+      }
+      const std::string ext = it->path().extension().string();
+      if (!it->is_regular_file() ||
+          (ext != ".h" && ext != ".cc" && ext != ".cpp")) {
+        continue;
+      }
+      rel.push_back(fs::relative(it->path(), root).generic_string());
+    }
+    if (ec) {
+      *error = "cannot walk " + (root / dir).string() + ": " + ec.message();
+      return {};
+    }
   }
   std::sort(rel.begin(), rel.end());
   return rel;
@@ -74,15 +90,6 @@ void ApplySuppressions(const std::vector<Suppression>& sups,
 }
 
 }  // namespace
-
-const std::vector<std::string>& RegistryDocs() {
-  static const std::vector<std::string> kDocs = {
-      "docs/MEMORY.md",
-      "docs/OBSERVABILITY.md",
-      "docs/TESTING.md",
-  };
-  return kDocs;
-}
 
 AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
   AnalyzeResult result;
@@ -146,19 +153,19 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
   result.cache_misses = misses.load();
 
   // Docs are read fresh every run: they are few, cheap to scan, and the
-  // cross-check must see edits immediately.
+  // cross-checks must see edits immediately.
   DocNames docs;
-  for (const std::string& doc : RegistryDocs()) {
+  for (const std::string& doc : ScannedDocs()) {
     std::string content;
     if (!ReadFile(root / doc, &content)) {
       result.io_error = true;
       result.error = "cannot read " + doc;
       return result;
     }
-    ScanDocNames(doc, content, &docs);
+    ScanDoc(doc, content, &docs);
   }
 
-  std::vector<Finding> registry = CheckRegistryConsistency(facts, docs);
+  std::vector<Finding> whole_program = CheckWholeProgram(facts, docs);
 
   std::vector<Finding> all;
   for (FileFacts& f : facts) {
@@ -166,9 +173,10 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
     ApplySuppressions(f.suppressions, &file_findings);
     all.insert(all.end(), file_findings.begin(), file_findings.end());
   }
-  // Registry findings anchored in a src file can be suppressed there (a
-  // doc-anchored finding has no comment grammar to carry the ALLOW).
-  for (Finding& f : registry) {
+  // Whole-program findings anchored at a source line can be suppressed
+  // there (a doc-anchored finding has no comment grammar to carry the
+  // ALLOW, and a line-0 finding is file-scoped).
+  for (Finding& f : whole_program) {
     for (const FileFacts& ff : facts) {
       if (ff.path != f.file) continue;
       std::vector<Finding> one = {f};
@@ -177,7 +185,7 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
       break;
     }
   }
-  all.insert(all.end(), registry.begin(), registry.end());
+  all.insert(all.end(), whole_program.begin(), whole_program.end());
 
   std::sort(all.begin(), all.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;

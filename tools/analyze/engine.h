@@ -9,7 +9,7 @@
 namespace tasfar::analyze {
 
 struct AnalyzeOptions {
-  /// Repo root; `src/` and `docs/` are resolved under it.
+  /// Repo root; the source roots and `docs/` are resolved under it.
   std::string repo_root;
   /// Incremental-cache directory; empty disables the cache. The engine
   /// creates it on demand; entries are one serialized FileFacts per file,
@@ -31,15 +31,14 @@ struct AnalyzeResult {
   std::string error;
 };
 
-/// Runs the whole-program analysis: scans src/**/*.{h,cc} in parallel on
-/// the global ThreadPool (per-file facts through the incremental cache),
-/// re-reads docs/{OBSERVABILITY,TESTING,MEMORY}.md fresh, joins the facts
-/// into the registry-consistency pass, applies TASFAR_ANALYZE_ALLOW
-/// suppressions, and bumps the tasfar.analyze.* metrics.
+/// Runs the analysis: scans every .h/.cc/.cpp file under src/, tests/,
+/// bench/, examples/ and tools/ (skipping `build*` and dot directories) in
+/// parallel on the global ThreadPool, with per-file facts through the
+/// incremental cache; reads ScannedDocs() fresh; runs the whole-program
+/// pass over the facts and docs; applies TASFAR_ANALYZE_ALLOW
+/// suppressions; and bumps the tasfar.analyze.* metrics. A missing
+/// source root or doc is an I/O error.
 AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options);
-
-/// The docs the registry-consistency pass reads, relative to the root.
-const std::vector<std::string>& RegistryDocs();
 
 }  // namespace tasfar::analyze
 

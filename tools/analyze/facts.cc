@@ -63,6 +63,43 @@ const Token* FirstTopLevelString(const std::vector<Token>& code, size_t open,
   return nullptr;
 }
 
+/// Enumerators of the enum body between code[open] ("{") and code[close]:
+/// the identifier after "{" and after each top-level ",", kept when it
+/// reads `kName`. The value is the integer after "=", -1 when there is
+/// none. Comments are not code tokens, so a commented-out enumerator or a
+/// brace inside a trailing comment never counts.
+std::vector<Enumerator> ParseEnumerators(const std::vector<Token>& code,
+                                         size_t open, size_t close) {
+  std::vector<Enumerator> out;
+  int depth = 0;
+  bool expect_name = true;
+  for (size_t k = open + 1; k < close; ++k) {
+    const Token& t = code[k];
+    if (t.kind == TokKind::kPunct) {
+      if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
+      if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
+      if (depth == 0 && t.text == ",") expect_name = true;
+      continue;
+    }
+    if (depth != 0 || !expect_name || t.kind != TokKind::kIdent) continue;
+    expect_name = false;
+    if (t.text.size() < 2 || t.text[0] != 'k' ||
+        std::isupper(static_cast<unsigned char>(t.text[1])) == 0) {
+      continue;
+    }
+    Enumerator e;
+    e.name = t.text;
+    e.line = t.line;
+    if (k + 2 < close && IsPunct(code[k + 1], "=") &&
+        code[k + 2].kind == TokKind::kNumber) {
+      e.value = static_cast<int>(
+          std::strtol(code[k + 2].text.c_str(), nullptr, 10));
+    }
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
 /// Extracts metric/span/failpoint registrations from the code tokens.
 void ExtractSymbols(const std::vector<Token>& code, FileFacts* facts) {
   for (size_t i = 0; i < code.size(); ++i) {
@@ -119,39 +156,61 @@ void ExtractSymbols(const std::vector<Token>& code, FileFacts* facts) {
       }
       continue;
     }
-    // Flight-recorder codes: the `enum class FlightCode` definition is the
-    // registration site; each enumerator is documented (and cross-checked)
-    // as `serve.flight.<snake_case>` in docs/OBSERVABILITY.md.
+    // Enum definitions: the whole-program pass checks the FlightCode
+    // enumerators against docs/OBSERVABILITY.md and the wire enums'
+    // against docs/PROTOCOL.md.
     if (IsIdent(code[i], "enum") && i + 2 < code.size() &&
-        IsIdent(code[i + 1], "class") && IsIdent(code[i + 2], "FlightCode")) {
-      size_t j = i + 3;
-      while (j < code.size() && !IsPunct(code[j], "{")) ++j;
-      const size_t close = MatchingClose(code, j);
-      int depth = 0;
-      for (size_t k = j; k <= close && k < code.size(); ++k) {
-        if (code[k].kind == TokKind::kPunct) {
-          const std::string& p = code[k].text;
-          if (p == "(" || p == "[" || p == "{") ++depth;
-          if (p == ")" || p == "]" || p == "}") --depth;
+        IsIdent(code[i + 1], "class") &&
+        code[i + 2].kind == TokKind::kIdent) {
+      size_t open = i + 3;
+      while (open < code.size() && !IsPunct(code[open], "{") &&
+             !IsPunct(code[open], ";")) {
+        ++open;
+      }
+      if (open >= code.size() || !IsPunct(code[open], "{")) continue;
+      const size_t close = MatchingClose(code, open);
+      for (Enumerator& e : ParseEnumerators(code, open, close)) {
+        e.enum_name = code[i + 2].text;
+        facts->enumerators.push_back(std::move(e));
+      }
+      i = close;
+      continue;
+    }
+    // The F32Kernels dispatch table: the struct's members (function
+    // pointers `(*name)(...)` and plain pointers `*name;`) ...
+    if (IsIdent(code[i], "struct") && i + 2 < code.size() &&
+        IsIdent(code[i + 1], "F32Kernels") && IsPunct(code[i + 2], "{")) {
+      const size_t close = MatchingClose(code, i + 2);
+      for (size_t k = i + 3; k + 1 < close; ++k) {
+        if (code[k].kind != TokKind::kIdent || !IsPunct(code[k - 1], "*")) {
           continue;
         }
-        if (depth != 1 || code[k].kind != TokKind::kIdent) continue;
-        const std::string& id = code[k].text;
-        if (id.size() < 2 || id[0] != 'k' ||
-            !(id[1] >= 'A' && id[1] <= 'Z')) {
-          continue;
+        if ((IsPunct(code[k - 2], "(") && IsPunct(code[k + 1], ")")) ||
+            IsPunct(code[k + 1], ";")) {
+          facts->kernel_fields.push_back(code[k].text);
         }
-        std::string snake;
-        for (size_t c = 1; c < id.size(); ++c) {
-          if (id[c] >= 'A' && id[c] <= 'Z') {
-            if (c > 1) snake += '_';
-            snake += static_cast<char>(id[c] - 'A' + 'a');
-          } else {
-            snake += id[c];
-          }
+      }
+      i = close;
+      continue;
+    }
+    // ... and a backend's table, `static const F32Kernels kTable = {
+    // .name = ..., .matmul = ..., };` (the first one in the file).
+    if (IsIdent(code[i], "F32Kernels") && !facts->has_kernel_table) {
+      size_t eq = i + 1;
+      while (eq < code.size() &&
+             (code[eq].kind == TokKind::kIdent || IsPunct(code[eq], "&"))) {
+        ++eq;
+      }
+      if (eq >= code.size() || !IsPunct(code[eq], "=")) continue;
+      size_t open = eq;
+      while (open < code.size() && !IsPunct(code[open], "{")) ++open;
+      const size_t close = MatchingClose(code, open);
+      facts->has_kernel_table = true;
+      for (size_t k = open + 1; k + 2 < close; ++k) {
+        if (IsPunct(code[k], ".") && code[k + 1].kind == TokKind::kIdent &&
+            IsPunct(code[k + 2], "=")) {
+          facts->kernel_table_fields.push_back(code[k + 1].text);
         }
-        facts->flight_codes.push_back(
-            {"serve.flight." + snake, code[k].line});
       }
       i = close;
       continue;
@@ -212,13 +271,31 @@ FileFacts AnalyzeSource(const std::string& repo_rel_path,
   }
 
   const std::vector<Token> code = CodeTokens(tokens);
-  ExtractSymbols(code, &facts);
-
-  CheckParallelCapture(repo_rel_path, code, &facts.findings);
-  CheckIntoAliasing(repo_rel_path, code, facts.aliased_ack_lines,
-                    &facts.findings);
-  CheckWorkspaceEscape(repo_rel_path, code, &facts.findings);
-  CheckSeedDiscipline(repo_rel_path, code, &facts.findings);
+  const std::string& path = repo_rel_path;
+  std::vector<Finding>* out = &facts.findings;
+  CheckRngDiscipline(path, code, out);
+  CheckThreadDiscipline(path, code, out);
+  CheckSimdDiscipline(path, code, out);
+  const size_t n = path.size();
+  if (n >= 2 && path.compare(n - 2, 2, ".h") == 0) {
+    CheckHeaderGuard(path, code, out);
+  }
+  if (path.compare(0, 4, "src/") == 0) {
+    ExtractSymbols(code, &facts);
+    CheckNoIostream(path, code, out);
+    CheckNoBareAssert(path, code, out);
+    CheckTimingDiscipline(path, code, out);
+    CheckMemoryDiscipline(path, code, out);
+    CheckEstimatorDiscipline(path, code, out);
+    CheckParallelCapture(path, code, out);
+    CheckIntoAliasing(path, code, facts.aliased_ack_lines, out);
+    CheckWorkspaceEscape(path, code, out);
+    CheckSeedDiscipline(path, code, out);
+  }
+  std::stable_sort(out->begin(), out->end(),
+                   [](const Finding& a, const Finding& b) {
+                     return a.line < b.line;
+                   });
   return facts;
 }
 
@@ -247,7 +324,17 @@ std::string SerializeFacts(const FileFacts& facts) {
   }
   emit_refs("span", facts.spans);
   emit_refs("failpoint", facts.failpoints);
-  emit_refs("flight", facts.flight_codes);
+  for (const Enumerator& e : facts.enumerators) {
+    out << "enum\t" << e.line << "\t" << e.enum_name << "\t" << e.name
+        << "\t" << e.value << "\n";
+  }
+  for (const std::string& field : facts.kernel_fields) {
+    out << "kernel_field\t" << field << "\n";
+  }
+  if (facts.has_kernel_table) out << "kernel_table\n";
+  for (const std::string& field : facts.kernel_table_fields) {
+    out << "kernel_init\t" << field << "\n";
+  }
   for (const Suppression& s : facts.suppressions) {
     std::string rule;
     std::string reason;
@@ -300,8 +387,15 @@ bool ParseFacts(const std::string& text, FileFacts* out) {
       out->spans.push_back({f[2], std::atoi(f[1].c_str())});
     } else if (tag == "failpoint" && f.size() == 3) {
       out->failpoints.push_back({f[2], std::atoi(f[1].c_str())});
-    } else if (tag == "flight" && f.size() == 3) {
-      out->flight_codes.push_back({f[2], std::atoi(f[1].c_str())});
+    } else if (tag == "enum" && f.size() == 5) {
+      out->enumerators.push_back(
+          {f[2], f[3], std::atoi(f[4].c_str()), std::atoi(f[1].c_str())});
+    } else if (tag == "kernel_field" && f.size() == 2) {
+      out->kernel_fields.push_back(f[1]);
+    } else if (tag == "kernel_table" && f.size() == 1) {
+      out->has_kernel_table = true;
+    } else if (tag == "kernel_init" && f.size() == 2) {
+      out->kernel_table_fields.push_back(f[1]);
     } else if (tag == "allow" && f.size() == 4) {
       out->suppressions.push_back({std::atoi(f[1].c_str()), f[2], f[3]});
     } else if (tag == "aliased_ack" && f.size() == 2) {

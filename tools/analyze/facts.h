@@ -11,7 +11,7 @@ namespace tasfar::analyze {
 /// engine when a `// TASFAR_ANALYZE_ALLOW(rule): reason` comment covers
 /// the finding's line (same line or the line above).
 struct Finding {
-  std::string file;  ///< Repo-relative path ("src/..." or "docs/...").
+  std::string file;  ///< Repo-relative path ("src/...", "docs/...", ...).
   int line = 0;      ///< 1-based; 0 for file-scoped findings.
   std::string rule;  ///< Stable rule id, e.g. "into-aliasing".
   std::string message;
@@ -32,6 +32,14 @@ struct NameRef {
   int line = 0;
 };
 
+/// One `kName` enumerator of an `enum class` definition.
+struct Enumerator {
+  std::string enum_name;
+  std::string name;
+  int value = -1;  ///< -1 when not spelled `= <integer>`.
+  int line = 0;
+};
+
 /// One `// TASFAR_ANALYZE_ALLOW(rule): reason` comment.
 struct Suppression {
   int line = 0;
@@ -39,10 +47,11 @@ struct Suppression {
   std::string reason;
 };
 
-/// Everything the whole-program passes need from one file, plus the
-/// file's own per-file findings. This is the unit of the incremental
-/// cache: facts are a pure function of (path, content), so a content-hash
-/// hit can skip lexing and rule evaluation entirely.
+/// Everything the whole-program pass needs from one file, plus the file's
+/// own per-file findings. Symbols are extracted from src/ files only.
+/// This is the unit of the incremental cache: facts are a pure function
+/// of (path, content), so a content-hash hit can skip lexing and rule
+/// evaluation entirely.
 struct FileFacts {
   std::string path;           ///< Repo-relative.
   uint64_t content_hash = 0;  ///< FNV-1a of the file bytes.
@@ -51,18 +60,21 @@ struct FileFacts {
   std::vector<std::string> metric_prefixes;  ///< Dynamic ("tasfar.guard.").
   std::vector<NameRef> spans;       ///< TASFAR_TRACE_SPAN literals.
   std::vector<NameRef> failpoints;  ///< TASFAR_FAILPOINT literals.
-  /// Flight-recorder event codes from the `enum class FlightCode`
-  /// definition, as their documented `serve.flight.<snake_case>` names.
-  std::vector<NameRef> flight_codes;
+  std::vector<Enumerator> enumerators;  ///< Of every `enum class`.
+  /// Member names of a `struct F32Kernels` definition, in order.
+  std::vector<std::string> kernel_fields;
+  /// Whether the file defines an F32Kernels table (`F32Kernels k = {...}`),
+  /// and the designated-initializer fields of the first one.
+  bool has_kernel_table = false;
+  std::vector<std::string> kernel_table_fields;
   std::vector<Suppression> suppressions;
   std::vector<int> aliased_ack_lines;  ///< Lines with `// aliased:` acks.
   std::vector<Finding> findings;       ///< Per-file rule findings.
 };
 
-/// Lexes `source` and extracts symbols, suppressions, and per-file rule
-/// findings (parallel-capture, into-aliasing, workspace-escape,
-/// seed-discipline). The whole-program registry-consistency pass runs
-/// later over the merged facts (see rules.h).
+/// Lexes `source` and extracts symbols, suppressions, and the findings of
+/// every per-file rule that applies to `repo_rel_path`, sorted by line.
+/// The whole-program pass runs later over the merged facts (see rules.h).
 FileFacts AnalyzeSource(const std::string& repo_rel_path,
                         const std::string& source);
 
@@ -77,7 +89,7 @@ bool ParseFacts(const std::string& text, FileFacts* out);
 /// Bumped whenever FileFacts, the serialization, or any rule's semantics
 /// change, so stale caches self-invalidate. Mirrored in the checked-in
 /// tools/analyze/CACHE_SCHEMA file that CI uses as its cache key.
-constexpr int kFactsSchemaVersion = 2;
+constexpr int kFactsSchemaVersion = 3;
 
 }  // namespace tasfar::analyze
 

@@ -69,8 +69,7 @@ std::vector<Token> Lex(const std::string& source) {
       continue;
     }
     // Raw string literal: R"delim( ... )delim". Only the bare R prefix is
-    // recognized (matching the historical lint stripper); the repo style
-    // never uses encoding-prefixed raw strings.
+    // recognized; the repo style never uses encoding-prefixed raw strings.
     if (c == 'R' && i + 1 < n && source[i + 1] == '"' &&
         (i == 0 || !IsIdentChar(source[i - 1]))) {
       size_t open = source.find('(', i + 2);
@@ -157,21 +156,6 @@ std::vector<Token> CodeTokens(const std::vector<Token>& tokens) {
     if (t.kind != TokKind::kComment) code.push_back(t);
   }
   return code;
-}
-
-std::string StripCommentsAndStrings(const std::string& source) {
-  std::string out = source;
-  for (const Token& t : Lex(source)) {
-    if (t.kind != TokKind::kComment && t.kind != TokKind::kString &&
-        t.kind != TokKind::kChar) {
-      continue;
-    }
-    const size_t end = std::min(t.offset + t.length, out.size());
-    for (size_t k = t.offset; k < end; ++k) {
-      if (out[k] != '\n') out[k] = ' ';
-    }
-  }
-  return out;
 }
 
 bool IsIdent(const Token& tok, const char* text) {

@@ -9,10 +9,9 @@ namespace tasfar::analyze {
 
 /// A single C++ lexeme. The lexer is deliberately lightweight — no
 /// preprocessing, no keyword table, no template disambiguation — but it is
-/// exact about the four things every rule in tools/analyze and tools/lint
-/// needs: token boundaries, token kinds, line numbers, and the raw extent
-/// of comments/literals (so they can be blanked or searched separately
-/// from code).
+/// exact about the four things every analyzer rule needs: token
+/// boundaries, token kinds, line numbers, and the raw extent of
+/// comments/literals (so they can be searched separately from code).
 enum class TokKind {
   kIdent,    ///< Identifier or keyword: [A-Za-z_][A-Za-z0-9_]*.
   kNumber,   ///< pp-number: 0x5c0ffeeULL, 1e-9, 0.5, 1'000'000.
@@ -40,13 +39,6 @@ std::vector<Token> Lex(const std::string& source);
 /// The tokens of `tokens` with comments removed — the view every
 /// code-matching rule works on.
 std::vector<Token> CodeTokens(const std::vector<Token>& tokens);
-
-/// Replaces the contents of comments, string literals (including raw
-/// strings), and character literals with spaces, preserving newlines so
-/// that line numbers of the remaining code are unchanged. Built on Lex();
-/// this is the single implementation behind tools/lint's historical
-/// StripCommentsAndStrings.
-std::string StripCommentsAndStrings(const std::string& source);
 
 /// True when `tok` is an identifier with exactly the given text.
 bool IsIdent(const Token& tok, const char* text);

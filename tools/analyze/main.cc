@@ -1,19 +1,16 @@
-// tasfar_analyze — whole-program invariant analyzer.
+// tasfar_analyze — the repo's invariant analyzer.
 //
-// Lexes every src/**/*.{h,cc} file (in parallel, through a content-hash
-// incremental cache), extracts symbols, and enforces the five
-// whole-program rules from docs/STATIC_ANALYSIS.md:
-//   parallel-capture      no shared writes from ParallelFor lambdas
-//   into-aliasing         *Into destinations never silently alias inputs
-//   workspace-escape      workspace tensors stay out of members/statics
-//   seed-discipline       child seeds derive via MixSeed, not arithmetic
-//   registry-consistency  metric/span/failpoint names match the docs
+// Lexes every .h/.cc/.cpp file under src/, tests/, bench/, examples/ and
+// tools/ (in parallel, through a content-hash incremental cache), runs the
+// per-file rules on each, then one whole-program pass over the merged
+// facts and the docs: registry-consistency, protocol-doc-sync and the
+// F32Kernels table sync. docs/STATIC_ANALYSIS.md has the rule catalog.
 //
 // Usage: tasfar_analyze [repo_root]
 //          [--cache-dir=DIR | --no-cache] [--sarif=PATH | --no-sarif]
 // Defaults: cache under <root>/bench_out/analyze_cache/v<schema>/, SARIF
 // to <root>/bench_out/analyze.sarif. Exits 0 when clean, 1 on any
-// unsuppressed finding, 2 on I/O errors.
+// unsuppressed finding, 2 on I/O errors (a missing source root or doc).
 
 #include <cstdio>
 #include <filesystem>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
+#include <iterator>
 
 namespace tasfar::analyze {
 
@@ -64,6 +66,43 @@ std::vector<std::pair<size_t, size_t>> SplitArgs(
     }
   }
   return args;
+}
+
+/// True when code[i] is an identifier qualified as std::<name> (so the
+/// finding anchors at the `std` token's line).
+bool IsStdQualified(const std::vector<Token>& code, size_t i) {
+  return i >= 2 && IsPunct(code[i - 1], "::") && IsIdent(code[i - 2], "std");
+}
+
+/// True when code[i] is preceded by a `::` qualifier of any kind.
+bool IsQualified(const std::vector<Token>& code, size_t i) {
+  return i >= 1 && IsPunct(code[i - 1], "::");
+}
+
+/// Matches the token sequence of an `#include <name>` directive starting
+/// at the `#`: # include < name >.
+bool IsIncludeOf(const std::vector<Token>& code, size_t i, const char* name) {
+  return i + 4 < code.size() && IsPunct(code[i], "#") &&
+         IsIdent(code[i + 1], "include") && IsPunct(code[i + 2], "<") &&
+         IsIdent(code[i + 3], name) && IsPunct(code[i + 4], ">");
+}
+
+/// Whether the call argument list opening at code[open] (a "(") is empty
+/// or a single null-ish token — a wall-clock `time()` / `time(NULL)` /
+/// `time(nullptr)` / `time(0)` call used as a seed.
+bool IsNullishArgList(const std::vector<Token>& code, size_t open) {
+  const size_t close = MatchingClose(code, open);
+  if (close >= code.size()) return false;
+  if (close == open + 1) return true;
+  if (close != open + 2) return false;
+  const Token& arg = code[open + 1];
+  return IsIdent(arg, "NULL") || IsIdent(arg, "nullptr") ||
+         (arg.kind == TokKind::kNumber && arg.text == "0");
+}
+
+bool IsWallClockSeed(const std::vector<Token>& code, size_t i) {
+  return code[i].text == "time" && i + 1 < code.size() &&
+         IsPunct(code[i + 1], "(") && IsNullishArgList(code, i + 1);
 }
 
 /// --- parallel-capture ------------------------------------------------
@@ -297,6 +336,298 @@ bool IsBinaryMixOp(const std::vector<Token>& code, size_t i) {
 
 }  // namespace
 
+void CheckRngDiscipline(const std::string& path,
+                        const std::vector<Token>& code,
+                        std::vector<Finding>* findings) {
+  static const std::set<std::string> kQualified = {
+      "rand",        "srand",       "random_device",
+      "mt19937",     "minstd_rand", "default_random_engine",
+  };
+  // Unqualified engine names still in scope after a using-declaration.
+  static const std::set<std::string> kUnqualified = {"random_device",
+                                                     "mt19937"};
+  const std::string why = "use an explicitly passed tasfar::Rng& instead";
+  const std::string wall_clock =
+      "wall-clock time() seeding is banned: pass a fixed seed through "
+      "tasfar::Rng";
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (code[i].kind != TokKind::kIdent) continue;
+    const std::string& name = code[i].text;
+    if (IsStdQualified(code, i) && kQualified.count(name) != 0) {
+      findings->push_back(Make(path, code[i - 2].line, "rng-discipline",
+                               "std::" + name + " is banned: " + why));
+      continue;
+    }
+    if (IsQualified(code, i)) {
+      // Qualified by something other than std:: (or already reported).
+      if (IsWallClockSeed(code, i)) {
+        findings->push_back(
+            Make(path, code[i].line, "rng-discipline", wall_clock));
+      }
+      continue;
+    }
+    if (kUnqualified.count(name) != 0) {
+      findings->push_back(Make(path, code[i].line, "rng-discipline",
+                               name + " is banned: " + why));
+      continue;
+    }
+    if ((name == "rand" || name == "srand") && i + 1 < code.size() &&
+        IsPunct(code[i + 1], "(")) {
+      findings->push_back(Make(path, code[i].line, "rng-discipline",
+                               name + "() is banned: " + why));
+      continue;
+    }
+    if (IsWallClockSeed(code, i)) {
+      findings->push_back(
+          Make(path, code[i].line, "rng-discipline", wall_clock));
+    }
+  }
+}
+
+void CheckThreadDiscipline(const std::string& path,
+                           const std::vector<Token>& code,
+                           std::vector<Finding>* findings) {
+  if (path == "src/util/thread_pool.h" || path == "src/util/thread_pool.cc") {
+    return;
+  }
+  static const std::set<std::string> kBanned = {"thread", "jthread", "async"};
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (code[i].kind != TokKind::kIdent || kBanned.count(code[i].text) == 0 ||
+        !IsStdQualified(code, i)) {
+      continue;
+    }
+    findings->push_back(Make(path, code[i - 2].line, "thread-discipline",
+                             "std::" + code[i].text +
+                                 " is banned: use ThreadPool / ParallelFor "
+                                 "from util/thread_pool.h instead"));
+  }
+}
+
+void CheckSimdDiscipline(const std::string& path,
+                         const std::vector<Token>& code,
+                         std::vector<Finding>* findings) {
+  if (StartsWith(path, "src/tensor/simd/")) return;
+  static const std::set<std::string> kIntrinsicHeaders = {
+      "immintrin", "emmintrin", "xmmintrin", "smmintrin", "tmmintrin",
+      "pmmintrin", "nmmintrin", "wmmintrin", "ammintrin", "x86intrin",
+      "x86gprintrin", "arm_neon", "arm_sve", "arm_acle",
+  };
+  const std::string why =
+      ": raw SIMD intrinsics are banned outside src/tensor/simd/ — add a "
+      "kernel to the F32Kernels dispatch table instead";
+  auto is_intrinsic_ident = [](const std::string& name) {
+    // x86: _mm_/_mm256_/_mm512_ functions and __m128/__m256/__m512 types.
+    if (StartsWith(name, "_mm")) return true;
+    if (name.size() >= 4 && StartsWith(name, "__m") &&
+        std::isdigit(static_cast<unsigned char>(name[3])) != 0) {
+      return true;
+    }
+    // NEON: float32x4_t-style vector types and v*q_f32-style intrinsics.
+    if (StartsWith(name, "float32x") || StartsWith(name, "float64x")) {
+      return true;
+    }
+    return name[0] == 'v' && (name.find("q_f32") != std::string::npos ||
+                              name.find("q_f64") != std::string::npos);
+  };
+  for (size_t i = 0; i < code.size(); ++i) {
+    // `#include <name.h>` reads as: # include < name . h >.
+    if (IsPunct(code[i], "<") && i + 4 < code.size() &&
+        code[i + 1].kind == TokKind::kIdent &&
+        kIntrinsicHeaders.count(code[i + 1].text) != 0 &&
+        IsPunct(code[i + 2], ".") && IsIdent(code[i + 3], "h") &&
+        IsPunct(code[i + 4], ">")) {
+      findings->push_back(Make(path, code[i].line, "simd-discipline",
+                               "<" + code[i + 1].text + ".h>" + why));
+      i += 4;
+      continue;
+    }
+    if (code[i].kind == TokKind::kIdent && is_intrinsic_ident(code[i].text)) {
+      findings->push_back(
+          Make(path, code[i].line, "simd-discipline", code[i].text + why));
+    }
+  }
+}
+
+std::string ExpectedHeaderGuard(const std::string& repo_rel_path) {
+  const std::string path = StartsWith(repo_rel_path, "src/")
+                               ? repo_rel_path.substr(4)
+                               : repo_rel_path;
+  std::string guard = "TASFAR_";
+  for (char c : path) {
+    const auto u = static_cast<unsigned char>(c);
+    guard += std::isalnum(u) != 0 ? static_cast<char>(std::toupper(u)) : '_';
+  }
+  return guard + '_';
+}
+
+void CheckHeaderGuard(const std::string& path, const std::vector<Token>& code,
+                      std::vector<Finding>* findings) {
+  const std::string expected = ExpectedHeaderGuard(path);
+  // The first directive must be `#ifndef <guard>`, all on one line.
+  size_t hash = 0;
+  while (hash < code.size() && !IsPunct(code[hash], "#")) ++hash;
+  const int line = hash < code.size() ? code[hash].line : 0;
+  if (hash + 2 >= code.size() || !IsIdent(code[hash + 1], "ifndef") ||
+      code[hash + 2].kind != TokKind::kIdent || code[hash + 2].line != line) {
+    findings->push_back(Make(path, 1, "header-guard",
+                             "missing include guard; expected #ifndef " +
+                                 expected));
+    return;
+  }
+  const std::string& guard = code[hash + 2].text;
+  if (guard != expected) {
+    findings->push_back(Make(path, line, "header-guard",
+                             "include guard " + guard +
+                                 " should be named " + expected));
+    return;
+  }
+  for (size_t i = hash + 3; i + 2 < code.size(); ++i) {
+    if (IsPunct(code[i], "#") && IsIdent(code[i + 1], "define") &&
+        IsIdent(code[i + 2], expected.c_str())) {
+      return;
+    }
+  }
+  findings->push_back(Make(path, line, "header-guard",
+                           "include guard " + expected +
+                               " is never #defined"));
+}
+
+void CheckNoIostream(const std::string& path, const std::vector<Token>& code,
+                     std::vector<Finding>* findings) {
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (!IsIncludeOf(code, i, "iostream")) continue;
+    findings->push_back(Make(path, code[i].line, "no-iostream",
+                             "<iostream> is banned in src/: use "
+                             "util/logging.h (TASFAR_LOG) instead"));
+    i += 4;
+  }
+}
+
+void CheckNoBareAssert(const std::string& path,
+                       const std::vector<Token>& code,
+                       std::vector<Finding>* findings) {
+  for (size_t i = 0; i < code.size(); ++i) {
+    // <cassert> / <assert.h> anywhere (they only ever appear in includes).
+    if (IsPunct(code[i], "<") && i + 2 < code.size()) {
+      if (IsIdent(code[i + 1], "cassert") && IsPunct(code[i + 2], ">")) {
+        findings->push_back(Make(path, code[i].line, "check-not-assert",
+                                 "<cassert> is banned in src/: use "
+                                 "util/check.h (TASFAR_CHECK) instead"));
+        i += 2;
+        continue;
+      }
+      if (i + 4 < code.size() && IsIdent(code[i + 1], "assert") &&
+          IsPunct(code[i + 2], ".") && IsIdent(code[i + 3], "h") &&
+          IsPunct(code[i + 4], ">")) {
+        findings->push_back(Make(path, code[i].line, "check-not-assert",
+                                 "<assert.h> is banned in src/: use "
+                                 "util/check.h (TASFAR_CHECK) instead"));
+        i += 4;
+        continue;
+      }
+    }
+    if (IsIdent(code[i], "assert") && i + 1 < code.size() &&
+        IsPunct(code[i + 1], "(")) {
+      findings->push_back(Make(path, code[i].line, "check-not-assert",
+                               "bare assert() is banned in src/: use "
+                               "TASFAR_CHECK (active in all build modes) "
+                               "instead"));
+    }
+  }
+}
+
+void CheckTimingDiscipline(const std::string& path,
+                           const std::vector<Token>& code,
+                           std::vector<Finding>* findings) {
+  if (StartsWith(path, "src/obs/")) return;
+  const std::string why =
+      " is banned in src/ outside src/obs/: time through "
+      "obs::MonotonicMicros / TASFAR_TRACE_SPAN instead";
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (IsIncludeOf(code, i, "chrono")) {
+      findings->push_back(
+          Make(path, code[i].line, "timing-discipline", "<chrono>" + why));
+      i += 4;
+      continue;
+    }
+    if (!IsIdent(code[i], "chrono")) continue;
+    // `<chrono>` outside an include directive still reads as < chrono >;
+    // skip the token after any '<' so the include form is reported once.
+    if (i >= 1 && IsPunct(code[i - 1], "<")) continue;
+    findings->push_back(
+        Make(path, code[i].line, "timing-discipline", "std::chrono" + why));
+  }
+}
+
+void CheckMemoryDiscipline(const std::string& path,
+                           const std::vector<Token>& code,
+                           std::vector<Finding>* findings) {
+  for (size_t i = 0; i + 2 < code.size(); ++i) {
+    if (!IsIdent(code[i], "Tensor")) continue;
+    // Parameter position: the previous token (skipping an optional
+    // `const`) must be '(' or ','.
+    size_t before = i;
+    if (before >= 1 && IsIdent(code[before - 1], "const")) --before;
+    if (before == 0 ||
+        (!IsPunct(code[before - 1], "(") && !IsPunct(code[before - 1], ","))) {
+      continue;
+    }
+    // By-value means the next token is the parameter name: an identifier,
+    // followed by ',', ')' or '='.
+    if (code[i + 1].kind != TokKind::kIdent) continue;
+    if (!IsPunct(code[i + 2], ",") && !IsPunct(code[i + 2], ")") &&
+        !IsPunct(code[i + 2], "=")) {
+      continue;
+    }
+    findings->push_back(
+        Make(path, code[i].line, "memory-discipline",
+             "by-value Tensor parameter: take const Tensor& (read) or "
+             "Tensor* (write) — a by-value copy detaches on first write"));
+  }
+  if (StartsWith(path, "src/tensor/")) return;
+  for (size_t i = 0; i + 6 < code.size(); ++i) {
+    if (!IsIdent(code[i], "std") || !IsPunct(code[i + 1], "::") ||
+        !IsIdent(code[i + 2], "vector") || !IsPunct(code[i + 3], "<") ||
+        !IsIdent(code[i + 4], "double") || !IsPunct(code[i + 5], ">") ||
+        !IsPunct(code[i + 6], "(")) {
+      continue;
+    }
+    const size_t open = i + 6;
+    const size_t close = MatchingClose(code, open);
+    bool copies_data = false;
+    for (size_t j = open + 1; j + 2 < close; ++j) {
+      if (IsPunct(code[j], ".") && IsIdent(code[j + 1], "data") &&
+          IsPunct(code[j + 2], "(")) {
+        copies_data = true;
+        break;
+      }
+    }
+    if (!copies_data) continue;
+    findings->push_back(
+        Make(path, code[i].line, "memory-discipline",
+             "copying tensor storage into a std::vector<double>: share the "
+             "Tensor (copy-on-write) or fill a Workspace tensor instead"));
+  }
+}
+
+void CheckEstimatorDiscipline(const std::string& path,
+                              const std::vector<Token>& code,
+                              std::vector<Finding>* findings) {
+  if (StartsWith(path, "src/uncertainty/")) return;
+  static const std::set<std::string> kConcrete = {
+      "McDropoutPredictor", "DeepEnsemble", "LastLayerLaplace"};
+  for (const Token& tok : code) {
+    if (tok.kind != TokKind::kIdent || kConcrete.count(tok.text) == 0) {
+      continue;
+    }
+    findings->push_back(
+        Make(path, tok.line, "estimator-discipline",
+             tok.text + " is banned outside src/uncertainty/: construct "
+                        "through MakeEstimator(model, EstimatorConfig) so "
+                        "the uncertainty backend stays pluggable"));
+  }
+}
+
 void CheckParallelCapture(const std::string& path,
                           const std::vector<Token>& code,
                           std::vector<Finding>* findings) {
@@ -477,8 +808,12 @@ void CheckSeedDiscipline(const std::string& path,
   }
 }
 
-void ScanDocNames(const std::string& doc_path, const std::string& content,
-                  DocNames* out) {
+namespace {
+
+const char kProtocolDoc[] = "docs/PROTOCOL.md";
+
+void ScanRegistryDoc(const std::string& doc_path, const std::string& content,
+                     DocNames* out) {
   auto name_like = [](const std::string& tok) {
     if (tok.empty()) return false;
     bool has_dot = false;
@@ -525,9 +860,58 @@ void ScanDocNames(const std::string& doc_path, const std::string& content,
   }
 }
 
-std::vector<Finding> CheckRegistryConsistency(
-    const std::vector<FileFacts>& facts, const DocNames& docs) {
-  std::vector<Finding> findings;
+/// Table rows `| `kName` | N | ...` of docs/PROTOCOL.md: the first cell's
+/// backticked k-name and the leading integer of the second cell. A later
+/// row for the same name wins.
+void ScanWireRows(const std::string& content, DocNames* out) {
+  size_t pos = 0;
+  while (pos < content.size()) {
+    size_t eol = content.find('\n', pos);
+    if (eol == std::string::npos) eol = content.size();
+    const std::string line = content.substr(pos, eol - pos);
+    pos = eol + 1;
+    const size_t p = line.find_first_not_of(' ');
+    if (p == std::string::npos || line[p] != '|') continue;
+    const size_t tick1 = line.find('`', p);
+    if (tick1 == std::string::npos) continue;
+    const size_t tick2 = line.find('`', tick1 + 1);
+    if (tick2 == std::string::npos) continue;
+    const std::string name = line.substr(tick1 + 1, tick2 - tick1 - 1);
+    if (name.size() < 2 || name[0] != 'k' ||
+        std::isupper(static_cast<unsigned char>(name[1])) == 0) {
+      continue;
+    }
+    const size_t bar = line.find('|', tick2);
+    if (bar == std::string::npos) continue;
+    const size_t q = line.find_first_not_of(' ', bar + 1);
+    if (q == std::string::npos ||
+        std::isdigit(static_cast<unsigned char>(line[q])) == 0) {
+      continue;
+    }
+    out->wire_rows[name] = std::atoi(line.c_str() + q);
+  }
+}
+
+/// Documented name of a flight-recorder code:
+/// `kAdaptFellBack` -> `serve.flight.adapt_fell_back`.
+std::string FlightCodeName(const std::string& enumerator) {
+  std::string snake;
+  for (size_t c = 1; c < enumerator.size(); ++c) {
+    const char ch = enumerator[c];
+    if (ch >= 'A' && ch <= 'Z') {
+      if (c > 1) snake += '_';
+      snake += static_cast<char>(ch - 'A' + 'a');
+    } else {
+      snake += ch;
+    }
+  }
+  return "serve.flight." + snake;
+}
+
+void CheckRegistryConsistency(const std::vector<FileFacts>& facts,
+                              const DocNames& docs,
+                              std::vector<Finding>* out) {
+  std::vector<Finding>& findings = *out;
   // First registration site per name, for stable finding locations.
   std::map<std::string, std::pair<std::string, int>> metrics;
   std::map<std::string, std::pair<std::string, int>> spans;
@@ -544,8 +928,10 @@ std::vector<Finding> CheckRegistryConsistency(
     for (const NameRef& p : f.failpoints) {
       failpoints.emplace(p.name, std::make_pair(f.path, p.line));
     }
-    for (const NameRef& c : f.flight_codes) {
-      flight_codes.emplace(c.name, std::make_pair(f.path, c.line));
+    for (const Enumerator& e : f.enumerators) {
+      if (e.enum_name != "FlightCode") continue;
+      flight_codes.emplace(FlightCodeName(e.name),
+                           std::make_pair(f.path, e.line));
     }
     for (const std::string& p : f.metric_prefixes) prefixes.insert(p);
   }
@@ -630,13 +1016,180 @@ std::vector<Finding> CheckRegistryConsistency(
                             "injection-sites table lists `" + site +
                                 "` but no TASFAR_FAILPOINT registers it"));
   }
+}
+
+/// The facts of the file at `path`, or nullptr when it was not scanned.
+const FileFacts* FactsOf(const std::vector<FileFacts>& facts,
+                         const std::string& path) {
+  for (const FileFacts& f : facts) {
+    if (f.path == path) return &f;
+  }
+  return nullptr;
+}
+
+void SyncOneEnum(const std::string& enum_name, const std::string& header,
+                 const std::map<std::string, int>& values,
+                 const std::map<std::string, int>& doc,
+                 std::set<std::string>* doc_names_seen,
+                 std::vector<Finding>* findings) {
+  for (const auto& [name, value] : values) {
+    const std::string id = enum_name + "::" + name;
+    if (value < 0) {
+      findings->push_back(Make(header, 0, "protocol-doc-sync",
+                               id + " has no explicit wire value"));
+      continue;
+    }
+    const auto it = doc.find(name);
+    if (it == doc.end()) {
+      findings->push_back(Make(kProtocolDoc, 0, "protocol-doc-sync",
+                               id + " (= " + std::to_string(value) +
+                                   ") is missing from the doc tables"));
+      continue;
+    }
+    doc_names_seen->insert(name);
+    if (it->second != value) {
+      findings->push_back(Make(kProtocolDoc, 0, "protocol-doc-sync",
+                               id + " is " + std::to_string(value) +
+                                   " in the header but " +
+                                   std::to_string(it->second) +
+                                   " in the doc"));
+    }
+  }
+}
+
+void CheckProtocolDocSync(const std::vector<FileFacts>& facts,
+                          const DocNames& docs,
+                          std::vector<Finding>* findings) {
+  struct WireEnum {
+    const char* name;
+    const char* header;
+  };
+  static const WireEnum kWireEnums[] = {
+      {"MessageType", "src/serve/protocol.h"},
+      {"WireError", "src/serve/protocol.h"},
+      {"UncertaintyBackend", "src/uncertainty/estimator.h"},
+  };
+  std::vector<std::map<std::string, int>> values(std::size(kWireEnums));
+  bool all_found = true;
+  for (size_t e = 0; e < std::size(kWireEnums); ++e) {
+    if (const FileFacts* header = FactsOf(facts, kWireEnums[e].header)) {
+      for (const Enumerator& en : header->enumerators) {
+        if (en.enum_name == kWireEnums[e].name) values[e][en.name] = en.value;
+      }
+    }
+    if (values[e].empty()) {
+      findings->push_back(Make(kWireEnums[e].header, 0, "protocol-doc-sync",
+                               std::string("enum class ") +
+                                   kWireEnums[e].name + " not found"));
+      all_found = false;
+    }
+  }
+  if (!all_found) return;
+  std::set<std::string> doc_names_seen;
+  for (size_t e = 0; e < std::size(kWireEnums); ++e) {
+    SyncOneEnum(kWireEnums[e].name, kWireEnums[e].header, values[e],
+                docs.wire_rows, &doc_names_seen, findings);
+  }
+  for (const auto& [name, value] : docs.wire_rows) {
+    if (doc_names_seen.count(name) != 0) continue;
+    findings->push_back(Make(kProtocolDoc, 0, "protocol-doc-sync",
+                             "doc table row `" + name + "` (= " +
+                                 std::to_string(value) +
+                                 ") matches no protocol.h / estimator.h "
+                                 "enumerator"));
+  }
+}
+
+void CheckKernelTableSync(const std::vector<FileFacts>& facts,
+                          std::vector<Finding>* findings) {
+  const std::string simd_dir = "src/tensor/simd/";
+  std::vector<const FileFacts*> backends;
+  for (const FileFacts& f : facts) {
+    if (StartsWith(f.path, simd_dir + "kernels_") && EndsWith(f.path, ".cc") &&
+        f.path.find('/', simd_dir.size()) == std::string::npos) {
+      backends.push_back(&f);
+    }
+  }
+  if (backends.empty()) {
+    findings->push_back(Make("src/tensor/simd", 0, "simd-discipline",
+                             "no kernels_*.cc backend translation units "
+                             "found"));
+    return;
+  }
+  const std::string header = simd_dir + "kernels.h";
+  const FileFacts* decl = FactsOf(facts, header);
+  if (decl == nullptr || decl->kernel_fields.empty()) {
+    findings->push_back(Make(header, 0, "simd-discipline",
+                             "struct F32Kernels not found (or has no "
+                             "members)"));
+    return;
+  }
+  const std::vector<std::string>& fields = decl->kernel_fields;
+  const std::set<std::string> declared(fields.begin(), fields.end());
+  for (const FileFacts* backend : backends) {
+    if (!backend->has_kernel_table) {
+      findings->push_back(
+          Make(backend->path, 0, "simd-discipline",
+               "backend registers no F32Kernels table (expected a "
+               "designated initializer naming every kernels.h field)"));
+      continue;
+    }
+    const std::vector<std::string>& set_fields = backend->kernel_table_fields;
+    const std::set<std::string> set(set_fields.begin(), set_fields.end());
+    for (const std::string& field : fields) {
+      if (set.count(field) != 0) continue;
+      findings->push_back(Make(backend->path, 0, "simd-discipline",
+                               "F32Kernels field `" + field +
+                                   "` is declared in kernels.h but never "
+                                   "set in this backend's table"));
+    }
+    for (const std::string& field : set_fields) {
+      if (declared.count(field) != 0) continue;
+      findings->push_back(Make(backend->path, 0, "simd-discipline",
+                               "designated initializer `." + field +
+                                   "` matches no F32Kernels field in "
+                                   "kernels.h"));
+    }
+  }
+}
+
+}  // namespace
+
+const std::vector<std::string>& ScannedDocs() {
+  static const std::vector<std::string> kDocs = {
+      "docs/MEMORY.md",
+      "docs/OBSERVABILITY.md",
+      kProtocolDoc,
+      "docs/TESTING.md",
+  };
+  return kDocs;
+}
+
+void ScanDoc(const std::string& doc_path, const std::string& content,
+             DocNames* out) {
+  if (doc_path == kProtocolDoc) {
+    ScanWireRows(content, out);
+  } else {
+    ScanRegistryDoc(doc_path, content, out);
+  }
+}
+
+std::vector<Finding> CheckWholeProgram(const std::vector<FileFacts>& facts,
+                                       const DocNames& docs) {
+  std::vector<Finding> findings;
+  CheckRegistryConsistency(facts, docs, &findings);
+  CheckProtocolDocSync(facts, docs, &findings);
+  CheckKernelTableSync(facts, &findings);
   return findings;
 }
 
 const std::vector<std::string>& AnalyzerRuleIds() {
   static const std::vector<std::string> kIds = {
-      "into-aliasing",    "parallel-capture", "registry-consistency",
-      "seed-discipline",  "workspace-escape",
+      "check-not-assert",     "estimator-discipline", "header-guard",
+      "into-aliasing",        "memory-discipline",    "no-iostream",
+      "parallel-capture",     "protocol-doc-sync",    "registry-consistency",
+      "rng-discipline",       "seed-discipline",      "simd-discipline",
+      "thread-discipline",    "timing-discipline",    "workspace-escape",
   };
   return kIds;
 }

@@ -1,13 +1,26 @@
-#include "lint.h"
-
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-namespace tasfar::lint {
+#include "facts.h"
+#include "rules.h"
+
+namespace tasfar::analyze {
 namespace {
+
+namespace fs = std::filesystem;
+
+/// The per-file findings for one file, sorted by line.
+std::vector<Finding> FileFindings(const std::string& path,
+                                  const std::string& source) {
+  return AnalyzeSource(path, source).findings;
+}
 
 std::vector<std::string> Rules(const std::vector<Finding>& findings) {
   std::vector<std::string> rules;
@@ -16,60 +29,58 @@ std::vector<std::string> Rules(const std::vector<Finding>& findings) {
   return rules;
 }
 
-// --- StripCommentsAndStrings ------------------------------------------------
-
-TEST(StripTest, RemovesLineComments) {
-  const std::string out =
-      StripCommentsAndStrings("int x;  // std::rand here\nint y;");
-  EXPECT_EQ(out.find("std::rand"), std::string::npos);
-  EXPECT_NE(out.find("int y;"), std::string::npos);
+/// The whole-program findings of `rule` over the given (path, source)
+/// files and docs.
+std::vector<Finding> WholeProgramFindings(
+    const std::vector<std::pair<std::string, std::string>>& files,
+    const std::vector<std::pair<std::string, std::string>>& doc_files,
+    const std::string& rule) {
+  std::vector<FileFacts> facts;
+  for (const auto& [path, source] : files) {
+    facts.push_back(AnalyzeSource(path, source));
+  }
+  DocNames docs;
+  for (const auto& [path, content] : doc_files) ScanDoc(path, content, &docs);
+  std::vector<Finding> findings;
+  for (const Finding& f : CheckWholeProgram(facts, docs)) {
+    if (f.rule == rule) findings.push_back(f);
+  }
+  return findings;
 }
 
-TEST(StripTest, RemovesBlockCommentsButKeepsNewlines) {
-  const std::string out =
-      StripCommentsAndStrings("a /* std::rand\nstd::rand */ b");
-  EXPECT_EQ(out.find("std::rand"), std::string::npos);
-  // The newline inside the comment survives so line numbers stay stable.
-  EXPECT_NE(out.find('\n'), std::string::npos);
-  EXPECT_NE(out.find('a'), std::string::npos);
-  EXPECT_NE(out.find('b'), std::string::npos);
-}
-
-TEST(StripTest, RemovesStringAndCharLiterals) {
-  const std::string out = StripCommentsAndStrings(
-      "f(\"std::rand\"); g('\\\"'); h(\"esc\\\"std::rand\");");
-  EXPECT_EQ(out.find("std::rand"), std::string::npos);
-}
-
-TEST(StripTest, RemovesRawStrings) {
-  const std::string out =
-      StripCommentsAndStrings("auto s = R\"(std::rand \" )\"; int k;");
-  EXPECT_EQ(out.find("std::rand"), std::string::npos);
-  EXPECT_NE(out.find("int k;"), std::string::npos);
-}
-
-TEST(StripTest, KeepsCodeIntact) {
-  const std::string src = "int dividend = a / b; int c = a / *p;";
-  EXPECT_EQ(StripCommentsAndStrings(src), src);
+/// Reads `rel` under the repo root, found by probing up from the test's
+/// working directory (ctest runs it inside the build tree).
+bool ReadRepoFile(const std::string& rel, std::string* out,
+                  std::string* root = nullptr) {
+  for (const char* probe : {".", "..", "../..", "../../.."}) {
+    std::ifstream in(fs::path(probe) / rel, std::ios::binary);
+    if (!in) continue;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    *out = buf.str();
+    if (root != nullptr) *root = probe;
+    return true;
+  }
+  return false;
 }
 
 // --- rng-discipline ---------------------------------------------------------
 
 TEST(RngDisciplineTest, FlagsStdRand) {
-  const auto findings = LintSource("src/foo.cc", "int x = std::rand();\n");
+  const auto findings = FileFindings("src/foo.cc", "int x = std::rand();\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "rng-discipline");
   EXPECT_EQ(findings[0].line, 1);
 }
 
 TEST(RngDisciplineTest, FlagsBareRandCall) {
-  const auto findings = LintSource("tests/foo_test.cc", "int x = rand();\n");
+  const auto findings = FileFindings("tests/foo_test.cc", "int x = rand();\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "rng-discipline");
 }
 
 TEST(RngDisciplineTest, FlagsMt19937AndRandomDevice) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "bench/foo.cc", "std::mt19937 gen(std::random_device{}());\n");
   EXPECT_EQ(findings.size(), 2u);
   for (const Finding& f : findings) EXPECT_EQ(f.rule, "rng-discipline");
@@ -77,19 +88,19 @@ TEST(RngDisciplineTest, FlagsMt19937AndRandomDevice) {
 
 TEST(RngDisciplineTest, FlagsUnqualifiedMt19937) {
   const auto findings =
-      LintSource("src/foo.cc", "using std::mt19937;\nmt19937 gen;\n");
+      FileFindings("src/foo.cc", "using std::mt19937;\nmt19937 gen;\n");
   EXPECT_EQ(findings.size(), 2u);
 }
 
 TEST(RngDisciplineTest, FlagsArglessTimeSeeding) {
-  EXPECT_EQ(LintSource("src/a.cc", "seed(time(NULL));\n").size(), 1u);
-  EXPECT_EQ(LintSource("src/a.cc", "seed(time(nullptr));\n").size(), 1u);
-  EXPECT_EQ(LintSource("src/a.cc", "seed(time( 0 ));\n").size(), 1u);
-  EXPECT_EQ(LintSource("src/a.cc", "seed(std::time(nullptr));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(time(NULL));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(time(nullptr));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(time( 0 ));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(std::time(nullptr));\n").size(), 1u);
 }
 
 TEST(RngDisciplineTest, AllowsTimeWithRealArgument) {
-  EXPECT_TRUE(LintSource("src/a.cc", "time_t t; time(&t);\n").empty());
+  EXPECT_TRUE(FileFindings("src/a.cc", "time_t t; time(&t);\n").empty());
 }
 
 TEST(RngDisciplineTest, NoFalsePositiveOnSubstrings) {
@@ -99,33 +110,33 @@ TEST(RngDisciplineTest, NoFalsePositiveOnSubstrings) {
       "double r = rng.Uniform();\n"
       "double elapsed_time(int x);\n"
       "my_rand_helper();\n";
-  EXPECT_TRUE(LintSource("src/foo.cc", src).empty());
+  EXPECT_TRUE(FileFindings("src/foo.cc", src).empty());
 }
 
 TEST(RngDisciplineTest, IgnoresCommentsAndStrings) {
   const std::string src =
       "// std::rand is banned\n"
       "const char* msg = \"std::mt19937\";\n";
-  EXPECT_TRUE(LintSource("src/foo.cc", src).empty());
+  EXPECT_TRUE(FileFindings("src/foo.cc", src).empty());
 }
 
 TEST(RngDisciplineTest, AppliesOutsideSrcToo) {
-  EXPECT_EQ(LintSource("examples/demo.cpp", "std::rand();\n").size(), 1u);
-  EXPECT_EQ(LintSource("tools/gen.cc", "std::rand();\n").size(), 1u);
+  EXPECT_EQ(FileFindings("examples/demo.cpp", "std::rand();\n").size(), 1u);
+  EXPECT_EQ(FileFindings("tools/gen.cc", "std::rand();\n").size(), 1u);
 }
 
 // --- thread-discipline ------------------------------------------------------
 
 TEST(ThreadDisciplineTest, FlagsRawStdThread) {
   const auto findings =
-      LintSource("src/core/foo.cc", "std::thread t([]{});\n");
+      FileFindings("src/core/foo.cc", "std::thread t([]{});\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "thread-discipline");
   EXPECT_EQ(findings[0].line, 1);
 }
 
 TEST(ThreadDisciplineTest, FlagsJthreadAndAsync) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "bench/foo.cc", "std::jthread t([]{});\nauto f = std::async([]{});\n");
   ASSERT_EQ(findings.size(), 2u);
   for (const Finding& f : findings) {
@@ -134,19 +145,19 @@ TEST(ThreadDisciplineTest, FlagsJthreadAndAsync) {
 }
 
 TEST(ThreadDisciplineTest, AppliesOutsideSrcToo) {
-  EXPECT_EQ(LintSource("tests/foo_test.cc", "std::thread t;\n").size(), 1u);
-  EXPECT_EQ(LintSource("examples/demo.cpp", "std::thread t;\n").size(), 1u);
+  EXPECT_EQ(FileFindings("tests/foo_test.cc", "std::thread t;\n").size(), 1u);
+  EXPECT_EQ(FileFindings("examples/demo.cpp", "std::thread t;\n").size(), 1u);
 }
 
 TEST(ThreadDisciplineTest, AllowsThreadPoolImplementation) {
-  EXPECT_TRUE(LintSource("src/util/thread_pool.cc",
-                         "workers_.emplace_back(std::thread([]{}));\n")
+  EXPECT_TRUE(FileFindings("src/util/thread_pool.cc",
+                           "workers_.emplace_back(std::thread([]{}));\n")
                   .empty());
   // The .h snippet still gets the header-guard rule; only the
   // thread-discipline exemption is under test here.
   for (const Finding& f :
-       LintSource("src/util/thread_pool.h",
-                  "std::vector<std::thread> workers_;\n")) {
+       FileFindings("src/util/thread_pool.h",
+                    "std::vector<std::thread> workers_;\n")) {
     EXPECT_NE(f.rule, "thread-discipline");
   }
 }
@@ -154,17 +165,17 @@ TEST(ThreadDisciplineTest, AllowsThreadPoolImplementation) {
 TEST(ThreadDisciplineTest, AllowsThisThreadAndThreadPool) {
   // std::this_thread (sleep/yield) and our own ThreadPool are fine; so is
   // the word "thread" in identifiers.
-  EXPECT_TRUE(LintSource("src/core/foo.cc",
-                         "std::this_thread::yield();\n"
-                         "ThreadPool pool(4);\n"
-                         "size_t num_threads = 2;\n")
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "std::this_thread::yield();\n"
+                           "ThreadPool pool(4);\n"
+                           "size_t num_threads = 2;\n")
                   .empty());
 }
 
 TEST(ThreadDisciplineTest, IgnoresCommentsAndStrings) {
-  EXPECT_TRUE(LintSource("src/core/foo.cc",
-                         "// std::thread is banned here\n"
-                         "const char* s = \"std::thread\";\n")
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "// std::thread is banned here\n"
+                           "const char* s = \"std::thread\";\n")
                   .empty());
 }
 
@@ -172,28 +183,28 @@ TEST(ThreadDisciplineTest, IgnoresCommentsAndStrings) {
 
 TEST(NoIostreamTest, FlagsIostreamInSrc) {
   const auto findings =
-      LintSource("src/core/foo.cc", "#include <iostream>\n");
+      FileFindings("src/core/foo.cc", "#include <iostream>\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "no-iostream");
 }
 
 TEST(NoIostreamTest, AllowsIostreamOutsideSrc) {
   EXPECT_TRUE(
-      LintSource("examples/demo.cpp", "#include <iostream>\n").empty());
+      FileFindings("examples/demo.cpp", "#include <iostream>\n").empty());
   EXPECT_TRUE(
-      LintSource("tests/foo_test.cc", "#include <iostream>\n").empty());
+      FileFindings("tests/foo_test.cc", "#include <iostream>\n").empty());
 }
 
 TEST(NoIostreamTest, AllowsOtherStreamHeadersInSrc) {
-  EXPECT_TRUE(LintSource("src/foo.cc",
-                         "#include <sstream>\n#include <fstream>\n")
+  EXPECT_TRUE(FileFindings("src/foo.cc",
+                           "#include <sstream>\n#include <fstream>\n")
                   .empty());
 }
 
 // --- check-not-assert -------------------------------------------------------
 
 TEST(CheckNotAssertTest, FlagsAssertCallAndHeaderInSrc) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/foo.cc", "#include <cassert>\nvoid f() { assert(1 == 1); }\n");
   EXPECT_EQ(Rules(findings),
             (std::vector<std::string>{"check-not-assert",
@@ -204,17 +215,17 @@ TEST(CheckNotAssertTest, AllowsTasfarCheckAndStaticAssert) {
   const std::string src =
       "TASFAR_CHECK(x > 0);\n"
       "static_assert(sizeof(int) == 4);\n";
-  EXPECT_TRUE(LintSource("src/foo.cc", src).empty());
+  EXPECT_TRUE(FileFindings("src/foo.cc", src).empty());
 }
 
 TEST(CheckNotAssertTest, AllowsAssertOutsideSrc) {
-  EXPECT_TRUE(LintSource("tests/foo_test.cc", "assert(true);\n").empty());
+  EXPECT_TRUE(FileFindings("tests/foo_test.cc", "assert(true);\n").empty());
 }
 
 // --- timing-discipline ------------------------------------------------------
 
 TEST(TimingDisciplineTest, FlagsStdChronoInSrc) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/core/foo.cc",
       "auto t0 = std::chrono::steady_clock::now();\n");
   ASSERT_EQ(findings.size(), 1u);
@@ -224,37 +235,37 @@ TEST(TimingDisciplineTest, FlagsStdChronoInSrc) {
 
 TEST(TimingDisciplineTest, FlagsChronoIncludeOnce) {
   const auto findings =
-      LintSource("src/util/foo.cc", "#include <chrono>\n");
+      FileFindings("src/util/foo.cc", "#include <chrono>\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "timing-discipline");
 }
 
 TEST(TimingDisciplineTest, AllowsChronoInObs) {
-  EXPECT_TRUE(LintSource("src/obs/clock.cc",
-                         "#include <chrono>\n"
-                         "auto t = std::chrono::steady_clock::now();\n")
+  EXPECT_TRUE(FileFindings("src/obs/clock.cc",
+                           "#include <chrono>\n"
+                           "auto t = std::chrono::steady_clock::now();\n")
                   .empty());
 }
 
 TEST(TimingDisciplineTest, AllowsChronoOutsideSrc) {
-  EXPECT_TRUE(LintSource("bench/foo.cc",
-                         "auto t = std::chrono::steady_clock::now();\n")
+  EXPECT_TRUE(FileFindings("bench/foo.cc",
+                           "auto t = std::chrono::steady_clock::now();\n")
                   .empty());
   EXPECT_TRUE(
-      LintSource("tests/foo_test.cc", "#include <chrono>\n").empty());
+      FileFindings("tests/foo_test.cc", "#include <chrono>\n").empty());
 }
 
 TEST(TimingDisciplineTest, NoFalsePositiveOnIdentifiers) {
-  EXPECT_TRUE(LintSource("src/core/foo.cc",
-                         "int chronology = 1;\n"
-                         "double my_chrono_like = 2.0;\n")
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "int chronology = 1;\n"
+                           "double my_chrono_like = 2.0;\n")
                   .empty());
 }
 
 TEST(TimingDisciplineTest, IgnoresCommentsAndStrings) {
-  EXPECT_TRUE(LintSource("src/core/foo.cc",
-                         "// std::chrono would be banned here\n"
-                         "const char* s = \"std::chrono\";\n")
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "// std::chrono would be banned here\n"
+                           "const char* s = \"std::chrono\";\n")
                   .empty());
 }
 
@@ -262,14 +273,14 @@ TEST(TimingDisciplineTest, IgnoresCommentsAndStrings) {
 
 TEST(MemoryDisciplineTest, FlagsByValueTensorParam) {
   const auto findings =
-      LintSource("src/nn/foo.cc", "Tensor Forward(Tensor input);\n");
+      FileFindings("src/nn/foo.cc", "Tensor Forward(Tensor input);\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "memory-discipline");
   EXPECT_EQ(findings[0].line, 1);
 }
 
 TEST(MemoryDisciplineTest, FlagsConstByValueAndSecondParam) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/nn/foo.cc", "void F(const Tensor t);\nvoid G(int n, Tensor t);\n");
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].line, 1);
@@ -277,25 +288,25 @@ TEST(MemoryDisciplineTest, FlagsConstByValueAndSecondParam) {
 }
 
 TEST(MemoryDisciplineTest, AllowsReferenceAndPointerParams) {
-  EXPECT_TRUE(LintSource("src/nn/foo.cc",
-                         "Tensor F(const Tensor& a, Tensor* out);\n"
-                         "void G(Tensor& inout, const Tensor* p);\n")
+  EXPECT_TRUE(FileFindings("src/nn/foo.cc",
+                           "Tensor F(const Tensor& a, Tensor* out);\n"
+                           "void G(Tensor& inout, const Tensor* p);\n")
                   .empty());
 }
 
 TEST(MemoryDisciplineTest, AllowsLocalsReturnsAndTemplates) {
-  EXPECT_TRUE(LintSource("src/nn/foo.cc",
-                         "Tensor F();\n"
-                         "void G() {\n"
-                         "  Tensor local = F();\n"
-                         "  std::vector<Tensor> all;\n"
-                         "  H(Tensor({2, 2}));\n"
-                         "}\n")
+  EXPECT_TRUE(FileFindings("src/nn/foo.cc",
+                           "Tensor F();\n"
+                           "void G() {\n"
+                           "  Tensor local = F();\n"
+                           "  std::vector<Tensor> all;\n"
+                           "  H(Tensor({2, 2}));\n"
+                           "}\n")
                   .empty());
 }
 
 TEST(MemoryDisciplineTest, FlagsVectorCopyOfTensorData) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/nn/foo.cc",
       "std::vector<double> v(std::vector<double>(t.data(), t.data() + "
       "t.size()));\n");
@@ -305,27 +316,27 @@ TEST(MemoryDisciplineTest, FlagsVectorCopyOfTensorData) {
 
 TEST(MemoryDisciplineTest, AllowsVectorWithoutTensorData) {
   EXPECT_TRUE(
-      LintSource("src/nn/foo.cc", "std::vector<double> v(n, 0.0);\n")
+      FileFindings("src/nn/foo.cc", "std::vector<double> v(n, 0.0);\n")
           .empty());
 }
 
 TEST(MemoryDisciplineTest, ExemptsTensorInternalsFromCopyBan) {
-  EXPECT_TRUE(LintSource("src/tensor/tensor.cc",
-                         "auto v = std::vector<double>(src.data(), "
-                         "src.data() + n);\n")
+  EXPECT_TRUE(FileFindings("src/tensor/tensor.cc",
+                           "auto v = std::vector<double>(src.data(), "
+                           "src.data() + n);\n")
                   .empty());
 }
 
 TEST(MemoryDisciplineTest, NotAppliedOutsideSrc) {
   EXPECT_TRUE(
-      LintSource("tests/nn/foo_test.cc", "void F(Tensor by_value);\n")
+      FileFindings("tests/nn/foo_test.cc", "void F(Tensor by_value);\n")
           .empty());
 }
 
 // --- estimator-discipline ---------------------------------------------------
 
 TEST(EstimatorDisciplineTest, FlagsConcreteEstimatorsInSrc) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/core/tasfar.cc",
       "McDropoutPredictor p(model, 20);\n"
       "auto e = DeepEnsemble::FromSource(model, 5, seed);\n"
@@ -341,36 +352,37 @@ TEST(EstimatorDisciplineTest, FlagsConcreteEstimatorsInSrc) {
 }
 
 TEST(EstimatorDisciplineTest, AllowsTheSeamItself) {
-  EXPECT_TRUE(LintSource("src/uncertainty/estimator.cc",
-                         "return std::make_unique<McDropoutPredictor>(\n"
-                         "    model, config.mc_samples);\n")
+  EXPECT_TRUE(FileFindings("src/uncertainty/estimator.cc",
+                           "return std::make_unique<McDropoutPredictor>(\n"
+                           "    model, config.mc_samples);\n")
                   .empty());
 }
 
 TEST(EstimatorDisciplineTest, AllowsSeamTypesAndEnumerators) {
   // The abstract interface, the factory, and backend enumerators are how
   // the rest of src/ is *supposed* to talk about estimators.
-  EXPECT_TRUE(
-      LintSource("src/serve/session.cc",
-                 "std::unique_ptr<UncertaintyEstimator> e =\n"
-                 "    MakeEstimator(model, config);\n"
-                 "if (b == UncertaintyBackend::kDeepEnsemble) { Charge(); }\n")
-          .empty());
+  EXPECT_TRUE(FileFindings(
+                  "src/serve/session.cc",
+                  "std::unique_ptr<UncertaintyEstimator> e =\n"
+                  "    MakeEstimator(model, config);\n"
+                  "if (b == UncertaintyBackend::kDeepEnsemble) { Charge(); }\n")
+                  .empty());
 }
 
 TEST(EstimatorDisciplineTest, NotAppliedOutsideSrc) {
-  EXPECT_TRUE(LintSource("tests/uncertainty/ensemble_test.cc",
-                         "DeepEnsemble e = DeepEnsemble::FromSource(m, 5, 1);\n")
-                  .empty());
   EXPECT_TRUE(
-      LintSource("bench/bench_micro_core.cc", "LastLayerLaplace l(&model);\n")
+      FileFindings("tests/uncertainty/ensemble_test.cc",
+                   "DeepEnsemble e = DeepEnsemble::FromSource(m, 5, 1);\n")
+          .empty());
+  EXPECT_TRUE(
+      FileFindings("bench/bench_micro_core.cc", "LastLayerLaplace l(&model);\n")
           .empty());
 }
 
 TEST(EstimatorDisciplineTest, IgnoresCommentsAndStrings) {
-  EXPECT_TRUE(LintSource("src/core/foo.cc",
-                         "// McDropoutPredictor would be banned here\n"
-                         "const char* s = \"DeepEnsemble\";\n")
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "// McDropoutPredictor would be banned here\n"
+                           "const char* s = \"DeepEnsemble\";\n")
                   .empty());
 }
 
@@ -385,8 +397,8 @@ TEST(HeaderGuardTest, ExpectedGuardDropsSrcPrefix) {
 TEST(HeaderGuardTest, ExpectedGuardKeepsNonSrcRoots) {
   EXPECT_EQ(ExpectedHeaderGuard("bench/bench_common.h"),
             "TASFAR_BENCH_BENCH_COMMON_H_");
-  EXPECT_EQ(ExpectedHeaderGuard("tools/lint/lint.h"),
-            "TASFAR_TOOLS_LINT_LINT_H_");
+  EXPECT_EQ(ExpectedHeaderGuard("tools/analyze/rules.h"),
+            "TASFAR_TOOLS_ANALYZE_RULES_H_");
 }
 
 TEST(HeaderGuardTest, AcceptsCorrectGuard) {
@@ -394,11 +406,11 @@ TEST(HeaderGuardTest, AcceptsCorrectGuard) {
       "#ifndef TASFAR_UTIL_FOO_H_\n"
       "#define TASFAR_UTIL_FOO_H_\n"
       "#endif  // TASFAR_UTIL_FOO_H_\n";
-  EXPECT_TRUE(LintSource("src/util/foo.h", src).empty());
+  EXPECT_TRUE(FileFindings("src/util/foo.h", src).empty());
 }
 
 TEST(HeaderGuardTest, FlagsMissingGuard) {
-  const auto findings = LintSource("src/util/foo.h", "int x;\n");
+  const auto findings = FileFindings("src/util/foo.h", "int x;\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "header-guard");
 }
@@ -406,7 +418,7 @@ TEST(HeaderGuardTest, FlagsMissingGuard) {
 TEST(HeaderGuardTest, FlagsWrongGuardName) {
   const std::string src =
       "#ifndef FOO_H\n#define FOO_H\n#endif\n";
-  const auto findings = LintSource("src/util/foo.h", src);
+  const auto findings = FileFindings("src/util/foo.h", src);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("TASFAR_UTIL_FOO_H_"),
             std::string::npos);
@@ -414,13 +426,13 @@ TEST(HeaderGuardTest, FlagsWrongGuardName) {
 
 TEST(HeaderGuardTest, FlagsGuardNeverDefined) {
   const std::string src = "#ifndef TASFAR_UTIL_FOO_H_\nint x;\n#endif\n";
-  const auto findings = LintSource("src/util/foo.h", src);
+  const auto findings = FileFindings("src/util/foo.h", src);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("never #defined"), std::string::npos);
 }
 
 TEST(HeaderGuardTest, SkipsNonHeaderFiles) {
-  EXPECT_TRUE(LintSource("src/util/foo.cc", "int x;\n").empty());
+  EXPECT_TRUE(FileFindings("src/util/foo.cc", "int x;\n").empty());
 }
 
 // --- ordering ---------------------------------------------------------------
@@ -430,7 +442,7 @@ TEST(LintSourceTest, FindingsSortedByLine) {
       "int a = 1;\n"
       "std::mt19937 g;\n"
       "int b = std::rand();\n";
-  const auto findings = LintSource("src/foo.cc", src);
+  const auto findings = FileFindings("src/foo.cc", src);
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].line, 2);
   EXPECT_EQ(findings[1].line, 3);
@@ -473,19 +485,28 @@ const char kSyncedDoc[] =
     "| `kMcDropout` | 0 |\n"
     "| `kDeepEnsemble` | 1 |\n";
 
+std::vector<Finding> ProtocolSync(const std::string& header,
+                                  const std::string& estimator_header,
+                                  const std::string& doc) {
+  return WholeProgramFindings({{"src/serve/protocol.h", header},
+                               {"src/uncertainty/estimator.h",
+                                estimator_header}},
+                              {{"docs/PROTOCOL.md", doc}},
+                              "protocol-doc-sync");
+}
+
 }  // namespace
 
 TEST(ProtocolDocSyncTest, CleanWhenInSync) {
-  EXPECT_TRUE(CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader,
-                                   kSyncedDoc)
-                  .empty());
+  EXPECT_TRUE(
+      ProtocolSync(kSyncedHeader, kSyncedEstimatorHeader, kSyncedDoc).empty());
 }
 
 TEST(ProtocolDocSyncTest, FlagsEnumeratorMissingFromDoc) {
   std::string doc(kSyncedDoc);
   doc.erase(doc.find("| `kPing` | 10 |\n"), sizeof("| `kPing` | 10 |\n") - 1);
   const auto findings =
-      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+      ProtocolSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "protocol-doc-sync");
   EXPECT_NE(findings[0].message.find("kPing"), std::string::npos);
@@ -496,7 +517,7 @@ TEST(ProtocolDocSyncTest, FlagsValueDisagreement) {
   doc.replace(doc.find("| `kPing` | 10 |"), sizeof("| `kPing` | 10 |") - 1,
               "| `kPing` | 11 |");
   const auto findings =
-      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+      ProtocolSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("kPing"), std::string::npos);
   EXPECT_NE(findings[0].message.find("10"), std::string::npos);
@@ -507,7 +528,7 @@ TEST(ProtocolDocSyncTest, FlagsDocRowWithNoEnumerator) {
   std::string doc(kSyncedDoc);
   doc += "| `kGhostMessage` | 42 |\n";
   const auto findings =
-      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+      ProtocolSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("kGhostMessage"), std::string::npos);
 }
@@ -517,14 +538,14 @@ TEST(ProtocolDocSyncTest, FlagsEnumeratorWithoutExplicitValue) {
   header.replace(header.find("kPing = 10,"), sizeof("kPing = 10,") - 1,
                  "kPing,");
   const auto findings =
-      CheckProtocolDocSync(header, kSyncedEstimatorHeader, kSyncedDoc);
+      ProtocolSync(header, kSyncedEstimatorHeader, kSyncedDoc);
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings[0].rule, "protocol-doc-sync");
 }
 
 TEST(ProtocolDocSyncTest, FlagsMissingEnumBlock) {
   const auto findings =
-      CheckProtocolDocSync("int x;\n", kSyncedEstimatorHeader, kSyncedDoc);
+      ProtocolSync("int x;\n", kSyncedEstimatorHeader, kSyncedDoc);
   ASSERT_FALSE(findings.empty());
   EXPECT_NE(findings[0].message.find("MessageType"), std::string::npos);
 }
@@ -534,7 +555,7 @@ TEST(ProtocolDocSyncTest, FlagsBackendEnumeratorMissingFromDoc) {
   doc.erase(doc.find("| `kDeepEnsemble` | 1 |\n"),
             sizeof("| `kDeepEnsemble` | 1 |\n") - 1);
   const auto findings =
-      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+      ProtocolSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "protocol-doc-sync");
   EXPECT_NE(findings[0].message.find("UncertaintyBackend::kDeepEnsemble"),
@@ -547,40 +568,72 @@ TEST(ProtocolDocSyncTest, FlagsBackendValueDisagreement) {
               sizeof("| `kDeepEnsemble` | 1 |") - 1,
               "| `kDeepEnsemble` | 2 |");
   const auto findings =
-      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+      ProtocolSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("kDeepEnsemble"), std::string::npos);
 }
 
 TEST(ProtocolDocSyncTest, FlagsMissingBackendEnumBlock) {
   const auto findings =
-      CheckProtocolDocSync(kSyncedHeader, "int x;\n", kSyncedDoc);
+      ProtocolSync(kSyncedHeader, "int x;\n", kSyncedDoc);
   ASSERT_FALSE(findings.empty());
   EXPECT_NE(findings[0].message.find("UncertaintyBackend"),
             std::string::npos);
   EXPECT_EQ(findings[0].file, "src/uncertainty/estimator.h");
 }
 
+// Enumerators are read from code tokens, so comments inside an enum body
+// never add, hide or end enumerators.
+
+TEST(ProtocolDocSyncTest, FlagsDocRowOfCommentedOutEnumerator) {
+  std::string header(kSyncedHeader);
+  header.replace(header.find("kPing = 10,"), sizeof("kPing = 10,") - 1,
+                 "/* kPing = 10, retired */");
+  const auto findings =
+      ProtocolSync(header, kSyncedEstimatorHeader, kSyncedDoc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "docs/PROTOCOL.md");
+  EXPECT_EQ(findings[0].message,
+            "doc table row `kPing` (= 10) matches no protocol.h / "
+            "estimator.h enumerator");
+}
+
+TEST(ProtocolDocSyncTest, BraceInTrailingCommentDoesNotEndEnum) {
+  std::string header(kSyncedHeader);
+  header.replace(header.find("kPing = 10,"), sizeof("kPing = 10,") - 1,
+                 "kPing = 10,  // replies {kOkResponse}");
+  EXPECT_TRUE(
+      ProtocolSync(header, kSyncedEstimatorHeader, kSyncedDoc).empty());
+}
+
+TEST(ProtocolDocSyncTest, CommentedOutEnumeratorNeedsNoDocRow) {
+  std::string header(kSyncedHeader);
+  header.replace(header.find("  kOkResponse"), 0,
+                 "  /* kRetiredProbe = 12, kept for the record */\n");
+  EXPECT_TRUE(
+      ProtocolSync(header, kSyncedEstimatorHeader, kSyncedDoc).empty());
+}
+
 TEST(ProtocolDocSyncTest, RealRepoFilesAreInSync) {
-  // Guard against the checked-in header and doc drifting apart; the repo
-  // root is two levels up from the build tree's tools/lint cwd, so rely on
-  // ctest running from build/ and probe both candidates.
-  for (const char* root : {".", "..", "../..", "../../.."}) {
-    const std::string probe = std::string(root) + "/docs/PROTOCOL.md";
-    if (FILE* f = std::fopen(probe.c_str(), "rb")) {
-      std::fclose(f);
-      EXPECT_TRUE(CheckProtocolDocSyncFiles(root).empty());
-      return;
-    }
+  // Guards the checked-in headers and spec against drifting apart.
+  std::string header;
+  std::string estimator_header;
+  std::string doc;
+  if (!ReadRepoFile("docs/PROTOCOL.md", &doc)) {
+    GTEST_SKIP() << "repo root not found from test cwd";
   }
-  GTEST_SKIP() << "repo root not found from test cwd";
+  ASSERT_TRUE(ReadRepoFile("src/serve/protocol.h", &header));
+  ASSERT_TRUE(ReadRepoFile("src/uncertainty/estimator.h", &estimator_header));
+  for (const Finding& f : ProtocolSync(header, estimator_header, doc)) {
+    ADD_FAILURE() << f.file << ": " << f.message;
+  }
 }
 
 // --- simd-discipline --------------------------------------------------------
 
 TEST(SimdDisciplineTest, FlagsIntrinsicHeaderOutsideSimdDir) {
   const auto findings =
-      LintSource("src/nn/dense.cc", "#include <immintrin.h>\n");
+      FileFindings("src/nn/dense.cc", "#include <immintrin.h>\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "simd-discipline");
   EXPECT_EQ(findings[0].line, 1);
@@ -589,13 +642,13 @@ TEST(SimdDisciplineTest, FlagsIntrinsicHeaderOutsideSimdDir) {
 
 TEST(SimdDisciplineTest, FlagsNeonHeaderOutsideSimdDir) {
   const auto findings =
-      LintSource("tests/tensor/foo_test.cc", "#include <arm_neon.h>\n");
+      FileFindings("tests/tensor/foo_test.cc", "#include <arm_neon.h>\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "simd-discipline");
 }
 
 TEST(SimdDisciplineTest, FlagsX86IntrinsicIdentifiers) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/nn/dense.cc",
       "__m256 v = _mm256_loadu_ps(p);\n_mm256_storeu_ps(q, v);\n");
   ASSERT_EQ(findings.size(), 3u);  // __m256 + two _mm256_* calls.
@@ -603,7 +656,7 @@ TEST(SimdDisciplineTest, FlagsX86IntrinsicIdentifiers) {
 }
 
 TEST(SimdDisciplineTest, FlagsNeonIntrinsicIdentifiers) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/uncertainty/mc_dropout.cc",
       "float32x4_t v = vld1q_f32(p);\nvst1q_f32(q, vfmaq_f32(v, v, v));\n");
   ASSERT_EQ(findings.size(), 4u);
@@ -611,7 +664,7 @@ TEST(SimdDisciplineTest, FlagsNeonIntrinsicIdentifiers) {
 }
 
 TEST(SimdDisciplineTest, AllowsIntrinsicsInsideSimdDir) {
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/tensor/simd/kernels_avx2.cc",
       "#include <immintrin.h>\n__m256 v = _mm256_setzero_ps();\n");
   EXPECT_TRUE(findings.empty());
@@ -620,7 +673,7 @@ TEST(SimdDisciplineTest, AllowsIntrinsicsInsideSimdDir) {
 TEST(SimdDisciplineTest, AllowsF32SuffixedVariablesAndMentionsInComments) {
   // weight_f32_ / a_f32 do not match the NEON v*q_f32 pattern, and banned
   // names inside comments or strings are never findings.
-  const auto findings = LintSource(
+  const auto findings = FileFindings(
       "src/nn/dense.cc",
       "int weight_f32_ = 0;  // _mm256_loadu_ps in a comment is fine\n"
       "const char* s = \"float32x4_t\";\nint a_f32 = weight_f32_;\n");
@@ -648,10 +701,17 @@ const char kSyncedBackend[] =
     "  return kTable;\n"
     "}\n";
 
+std::vector<Finding> KernelTableSync(
+    const std::string& header,
+    std::vector<std::pair<std::string, std::string>> backends) {
+  backends.emplace_back("src/tensor/simd/kernels.h", header);
+  return WholeProgramFindings(backends, {}, "simd-discipline");
+}
+
 }  // namespace
 
 TEST(SimdKernelTableSyncTest, CleanWhenInSync) {
-  EXPECT_TRUE(CheckSimdKernelTableSync(
+  EXPECT_TRUE(KernelTableSync(
                   kSyncedKernelsHeader,
                   {{"src/tensor/simd/kernels_scalar.cc", kSyncedBackend}})
                   .empty());
@@ -661,7 +721,7 @@ TEST(SimdKernelTableSyncTest, FlagsFieldMissingFromBackendTable) {
   std::string backend(kSyncedBackend);
   backend.erase(backend.find("      .relu = ScalarRelu,\n"),
                 sizeof("      .relu = ScalarRelu,\n") - 1);
-  const auto findings = CheckSimdKernelTableSync(
+  const auto findings = KernelTableSync(
       kSyncedKernelsHeader, {{"src/tensor/simd/kernels_scalar.cc", backend}});
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "simd-discipline");
@@ -672,7 +732,7 @@ TEST(SimdKernelTableSyncTest, FlagsInitializerWithNoDeclaredField) {
   std::string backend(kSyncedBackend);
   backend.replace(backend.find(".relu = ScalarRelu"),
                   sizeof(".relu = ScalarRelu") - 1, ".gelu = ScalarGelu");
-  const auto findings = CheckSimdKernelTableSync(
+  const auto findings = KernelTableSync(
       kSyncedKernelsHeader, {{"src/tensor/simd/kernels_scalar.cc", backend}});
   ASSERT_EQ(findings.size(), 2u);  // relu never set + gelu undeclared.
   EXPECT_NE(findings[0].message.find("relu"), std::string::npos);
@@ -680,7 +740,7 @@ TEST(SimdKernelTableSyncTest, FlagsInitializerWithNoDeclaredField) {
 }
 
 TEST(SimdKernelTableSyncTest, FlagsBackendWithNoTable) {
-  const auto findings = CheckSimdKernelTableSync(
+  const auto findings = KernelTableSync(
       kSyncedKernelsHeader,
       {{"src/tensor/simd/kernels_neon.cc", "void NeonMatMul();\n"}});
   ASSERT_EQ(findings.size(), 1u);
@@ -689,27 +749,47 @@ TEST(SimdKernelTableSyncTest, FlagsBackendWithNoTable) {
 }
 
 TEST(SimdKernelTableSyncTest, FlagsMissingStruct) {
-  const auto findings = CheckSimdKernelTableSync(
+  const auto findings = KernelTableSync(
       "int x;\n", {{"src/tensor/simd/kernels_scalar.cc", kSyncedBackend}});
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("F32Kernels"), std::string::npos);
 }
 
 TEST(SimdKernelTableSyncTest, RealRepoTablesAreInSync) {
-  for (const char* root : {".", "..", "../..", "../../.."}) {
-    const std::string probe =
-        std::string(root) + "/src/tensor/simd/kernels.h";
-    if (FILE* f = std::fopen(probe.c_str(), "rb")) {
-      std::fclose(f);
-      const auto findings = CheckSimdKernelTableSyncFiles(root);
-      for (const auto& finding : findings) {
-        ADD_FAILURE() << finding.file << ": " << finding.message;
-      }
-      return;
-    }
+  const std::string simd_dir = "src/tensor/simd/";
+  std::string header;
+  std::string root;
+  if (!ReadRepoFile(simd_dir + "kernels.h", &header, &root)) {
+    GTEST_SKIP() << "repo root not found from test cwd";
   }
-  GTEST_SKIP() << "repo root not found from test cwd";
+  std::vector<std::pair<std::string, std::string>> backends;
+  for (const auto& entry : fs::directory_iterator(fs::path(root) / simd_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, 8, "kernels_") != 0 ||
+        entry.path().extension() != ".cc") {
+      continue;
+    }
+    std::string source;
+    ASSERT_TRUE(ReadRepoFile(simd_dir + name, &source));
+    backends.emplace_back(simd_dir + name, source);
+  }
+  ASSERT_FALSE(backends.empty());
+  for (const Finding& f : KernelTableSync(header, backends)) {
+    ADD_FAILURE() << f.file << ": " << f.message;
+  }
+}
+
+// --- incremental cache -------------------------------------------------------
+
+TEST(CacheSchemaTest, FileMatchesFactsSchemaVersion) {
+  // CI keys the facts cache on tools/analyze/CACHE_SCHEMA, so it must move
+  // with kFactsSchemaVersion.
+  std::string schema;
+  if (!ReadRepoFile("tools/analyze/CACHE_SCHEMA", &schema)) {
+    GTEST_SKIP() << "repo root not found from test cwd";
+  }
+  EXPECT_EQ(std::atoi(schema.c_str()), kFactsSchemaVersion);
 }
 
 }  // namespace
-}  // namespace tasfar::lint
+}  // namespace tasfar::analyze
