@@ -157,11 +157,12 @@ BENCHMARK(BM_McDropoutPredictF32Threads)
     ->Args({20, 8})
     ->UseRealTime();
 
-// Steady-state allocation discipline of the MC-dropout hot path: once the
-// warm-up calls have populated the replica pool and the per-thread
-// workspace pools (docs/MEMORY.md), further Predict calls must not
-// allocate a single tensor buffer. The bench reports allocations and
-// workspace hits per iteration and fails outright if any measured
+// Steady-state allocation discipline of the MC-dropout hot path: pass s
+// runs on a replica and Workspace lane fixed by s, and the trunk's run r
+// of slices on a Workspace fixed by r (docs/MEMORY.md), so once the
+// warm-up calls have populated them, further Predict calls must not
+// allocate a single tensor buffer at any thread count. The bench reports allocations
+// and workspace hits per iteration and fails outright if any measured
 // iteration allocated.
 void BM_McDropoutAllocs(benchmark::State& state) {
   Rng rng(5);

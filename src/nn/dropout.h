@@ -35,6 +35,7 @@ class Dropout : public Layer {
   /// Restarts the mask stream from `seed` (same seed ⇒ same masks on the
   /// following Forward calls).
   void ReseedStochastic(uint64_t seed) override;
+  bool HasStochasticState() const override { return rate_ > 0.0; }
 
   double rate() const { return rate_; }
 

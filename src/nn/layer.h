@@ -63,6 +63,13 @@ class Layer {
   /// ignore the call.
   virtual void ReseedStochastic(uint64_t seed) { (void)seed; }
 
+  /// True when Forward(training=true) draws from a stochastic stream (a
+  /// Dropout with rate > 0, or a container holding one). A layer without
+  /// stochastic state gives the same output on every MC-dropout pass, so
+  /// the estimators run the leading run of such layers once per call
+  /// (uncertainty/stochastic_passes.h).
+  virtual bool HasStochasticState() const { return false; }
+
   /// Diagnostic layer name, e.g. "Dense(16->8)".
   virtual std::string Name() const = 0;
 

@@ -109,6 +109,13 @@ void MultiColumn::ReseedStochastic(uint64_t seed) {
   }
 }
 
+bool MultiColumn::HasStochasticState() const {
+  for (const auto& branch : branches_) {
+    if (branch->HasStochasticState()) return true;
+  }
+  return false;
+}
+
 std::string MultiColumn::Name() const {
   std::string out = "MultiColumn{";
   for (size_t i = 0; i < branches_.size(); ++i) {

@@ -32,6 +32,8 @@ class MultiColumn : public Layer {
   std::string Name() const override;
   /// Recurses with a distinct MixSeed(seed, branch_index) per branch.
   void ReseedStochastic(uint64_t seed) override;
+  /// True when any branch holds stochastic state.
+  bool HasStochasticState() const override;
 
  private:
   std::vector<std::unique_ptr<Sequential>> branches_;

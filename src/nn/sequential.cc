@@ -29,14 +29,20 @@ bool Sequential::SupportsF32() const {
 
 void Sequential::ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
                             bool training) {
+  ForwardF32(in, out, training, 0, layers_.size());
+}
+
+void Sequential::ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
+                            bool training, size_t begin, size_t end) {
   TASFAR_CHECK(out != nullptr && out != &in);
-  if (layers_.empty()) {
+  TASFAR_CHECK(begin <= end && end <= layers_.size());
+  if (begin == end) {
     out->CopyFrom(in);
     return;
   }
   const simd::F32Tensor* cur = &in;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    simd::F32Tensor* dst = (i + 1 == layers_.size())
+  for (size_t i = begin; i < end; ++i) {
+    simd::F32Tensor* dst = (i + 1 == end)
                                ? out
                                : (cur == &stage_a_ ? &stage_b_ : &stage_a_);
     layers_[i]->ForwardF32(*cur, dst, training);
@@ -96,6 +102,13 @@ void Sequential::ReseedStochastic(uint64_t seed) {
   for (size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->ReseedStochastic(MixSeed(seed, i));
   }
+}
+
+bool Sequential::HasStochasticState() const {
+  for (const auto& layer : layers_) {
+    if (layer->HasStochasticState()) return true;
+  }
+  return false;
 }
 
 std::string Sequential::Name() const {

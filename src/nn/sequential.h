@@ -11,12 +11,15 @@ namespace tasfar {
 
 /// A feed-forward chain of layers, itself a Layer.
 ///
-/// Besides plain Forward/Backward, Sequential supports the partial passes
-/// the UDA baselines need: ForwardTo() exposes the activation after a
-/// prefix of the chain (the "feature extractor" output) and BackwardFrom()
-/// backpropagates a gradient injected at that cut point, which is how the
+/// Besides plain Forward/Backward, Sequential supports partial passes.
+/// ForwardTo() exposes the activation after a prefix of the chain (the
+/// "feature extractor" output) and BackwardFrom() backpropagates a
+/// gradient injected at that cut point, which is how the UDA baselines'
 /// MMD / adversarial / feature-histogram alignment losses reach the
-/// extractor weights.
+/// extractor weights. The stochastic-pass estimators use ForwardFrom and
+/// the layer-range ForwardF32 the same way: they run the deterministic
+/// trunk once per Predict and only the layers from the first stochastic
+/// one onward per pass (uncertainty/stochastic_passes.h).
 class Sequential : public Layer {
  public:
   Sequential() = default;
@@ -48,12 +51,17 @@ class Sequential : public Layer {
   /// reallocation in steady state.
   void ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
                   bool training) override;
+  /// ForwardF32 over layers [begin, end) only; an empty range copies `in`.
+  void ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
+                  bool training, size_t begin, size_t end);
   std::vector<Tensor*> Params() override;
   std::vector<Tensor*> Grads() override;
   std::unique_ptr<Layer> Clone() const override;
   std::string Name() const override;
   /// Recurses with a distinct MixSeed(seed, layer_index) per layer.
   void ReseedStochastic(uint64_t seed) override;
+  /// True when any layer holds stochastic state.
+  bool HasStochasticState() const override;
 
   // --- Partial passes ----------------------------------------------------
 

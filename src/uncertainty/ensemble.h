@@ -31,17 +31,22 @@ namespace tasfar {
 ///    streams). A source model with no stochastic layers yields zero
 ///    disagreement, reported as-is.
 ///
-/// Parallelism and determinism (docs/THREADING.md): Predict fans one
-/// forward pass per member across the global thread pool; each member is
-/// touched by exactly one task, and the cross-member reduction runs
-/// serially in ascending member order, so results are byte-identical at
-/// every TASFAR_NUM_THREADS. Member k's pass draws its buffers from a
-/// Workspace arena fixed by k (docs/MEMORY.md), not from the worker that
-/// happens to run it, so steady-state Predict allocates no tensor buffers
-/// however the pool hands members to workers. Member forward passes
-/// mutate per-member activation caches,
-/// so concurrent Predict calls on one DeepEnsemble are NOT safe (serve
-/// sessions serialize Predict under the session lock).
+/// Cost: source-derived members share every weight, so the layers before
+/// the first Dropout (the deterministic trunk) run once per call for all
+/// members, and only the rest once per member (RunStochasticPasses,
+/// uncertainty/stochastic_passes.h). Trained members run whole.
+///
+/// Parallelism and determinism (docs/THREADING.md): Predict fans the
+/// trunk's batch slices, then one pass per member, across the global
+/// thread pool; each member is touched by exactly one task, and the
+/// cross-member reduction runs serially in ascending member order, so
+/// results are byte-identical at every TASFAR_NUM_THREADS. Member k's
+/// pass draws its buffers from a Workspace lane fixed by k
+/// (docs/MEMORY.md), not from the worker that happens to run it, so
+/// steady-state Predict allocates no tensor buffers however the pool
+/// hands members to workers. Member forward passes mutate per-member
+/// activation caches, so concurrent Predict calls on one DeepEnsemble are
+/// NOT safe (serve sessions serialize Predict under the session lock).
 class DeepEnsemble : public UncertaintyEstimator {
  public:
   /// Takes ownership of at least two trained member models with identical

@@ -1,20 +1,32 @@
 #include "uncertainty/mc_dropout.h"
 
-#include <cmath>
 #include <limits>
 #include <memory>
 
 #include "nn/trainer.h"
-#include "tensor/simd/dispatch.h"
-#include "tensor/workspace.h"
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/simd/dispatch.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace tasfar {
+namespace {
+
+/// Re-shares every parameter of `replica` whose buffer no longer matches
+/// the model's. Replicas only ever Forward, so their parameters never
+/// detach; a mismatch means the model was written (e.g. fine-tuned) since,
+/// and in the steady state this loop is pure pointer compares.
+void ShareParams(Sequential* model, Sequential* replica) {
+  std::vector<Tensor*> dst = replica->Params();
+  std::vector<Tensor*> src = model->Params();
+  TASFAR_CHECK(dst.size() == src.size());
+  for (size_t i = 0; i < dst.size(); ++i) {
+    if (!dst[i]->SharesBufferWith(*src[i])) *dst[i] = *src[i];
+  }
+}
+
+}  // namespace
 
 McDropoutPredictor::McDropoutPredictor(Sequential* model, size_t num_samples,
                                        size_t batch_size, uint64_t seed)
@@ -27,44 +39,10 @@ McDropoutPredictor::McDropoutPredictor(Sequential* model, size_t num_samples,
   TASFAR_CHECK(batch_size > 0);
 }
 
-std::unique_ptr<Sequential> McDropoutPredictor::CheckoutReplica() const {
-  std::unique_ptr<Sequential> replica;
-  {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    if (!replica_pool_.empty()) {
-      replica = std::move(replica_pool_.back());
-      replica_pool_.pop_back();
-    }
-  }
-  if (replica == nullptr) {
-    // Cloning shares every parameter buffer with the model (copy-on-write),
-    // so this is a structural copy, not a weight copy.
-    return model_->CloneSequential();
-  }
-  // Re-share parameters the model has mutated since this replica last ran.
-  // Replicas only ever Forward, so their parameters never detach; a buffer
-  // mismatch therefore means the model wrote (and detached) that parameter,
-  // and in the steady state this loop is pure pointer compares.
-  std::vector<Tensor*> dst = replica->Params();
-  std::vector<Tensor*> src = model_->Params();
-  TASFAR_CHECK(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    if (!dst[i]->SharesBufferWith(*src[i])) *dst[i] = *src[i];
-  }
-  return replica;
-}
-
-void McDropoutPredictor::ReturnReplica(
-    std::unique_ptr<Sequential> replica) const {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  replica_pool_.push_back(std::move(replica));
-}
-
 std::vector<McPrediction> McDropoutPredictor::Predict(
     const Tensor& inputs) const {
   const size_t n = inputs.dim(0);
-  std::vector<McPrediction> out(n);
-  if (n == 0) return out;
+  if (n == 0) return {};
   TASFAR_TRACE_SPAN("mc_dropout.predict");
   const bool metrics = obs::MetricsEnabled();
   static obs::Histogram* const kPassMs = obs::Registry::Get().GetHistogram(
@@ -83,61 +61,37 @@ std::vector<McPrediction> McDropoutPredictor::Predict(
   // tests/golden_float/ bounds the numerical divergence.
   const bool use_f32 = simd::ComputeModeIsF32() && model_->SupportsF32();
 
-  // One stochastic pass per task, each on a pooled model replica whose
-  // dropout streams are pinned to (root seed, call index, pass index) —
-  // which replica object runs a pass is irrelevant to its output. Tasks
-  // only read `inputs`/`model_` and write disjoint `passes` slots, so the
-  // fan-out is race-free and the reduction below — done serially in
-  // ascending pass order — is byte-identical at every thread count.
+  // Pass s reseeds its lane's replica to (root seed, call index, s), so
+  // its dropout masks are pinned to the pass, not to the replica object.
   const uint64_t call_seed =
       MixSeed(seed_, next_call_.fetch_add(1, std::memory_order_relaxed));
-  std::vector<Tensor> passes(num_samples_);
-  ParallelFor(0, num_samples_, /*grain=*/1, [&](size_t s) {
-    const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
-    std::unique_ptr<Sequential> replica = CheckoutReplica();
-    replica->ReseedStochastic(MixSeed(call_seed, s));
-    passes[s] = use_f32 ? BatchedForwardF32(replica.get(), inputs,
-                                            /*training=*/true, batch_size_)
-                        : BatchedForward(replica.get(), inputs,
-                                         /*training=*/true, batch_size_);
-    ReturnReplica(std::move(replica));
-    if (metrics) {
-      kPassMs->Observe(
-          static_cast<double>(obs::MonotonicMicros() - t0) / 1000.0);
-    }
-  });
+  PassPlan plan;
+  plan.trunk_source = model_;
+  plan.cut = DeterministicTrunkLength(model_);
+  plan.num_passes = num_samples_;
+  plan.batch_size = batch_size_;
+  plan.training = true;
+  plan.use_f32 = use_f32;
+  std::vector<McPrediction> out = RunStochasticPasses(
+      inputs, plan,
+      [&](size_t s) {
+        std::unique_ptr<Sequential>& replica = head_replicas_[s % kPassLanes];
+        if (replica == nullptr) {
+          // Cloning shares every parameter buffer with the model
+          // (copy-on-write), so this is a structural copy, not a weight
+          // copy.
+          replica = model_->CloneSequential();
+        } else {
+          ShareParams(model_, replica.get());
+        }
+        replica->ReseedStochastic(MixSeed(call_seed, s));
+        return replica.get();
+      },
+      metrics ? kPassMs : nullptr);
   if (metrics) {
     kPredictions->Increment(n);
     kPasses->Increment(num_samples_);
     if (use_f32) kF32Passes->Increment(num_samples_);
-  }
-
-  // Accumulate sum and sum-of-squares across stochastic passes, in
-  // workspace tensors (the square-then-add two-op order per pass matches
-  // the pre-workspace `sum_sq += p * p` expression byte for byte).
-  const size_t out_dim = passes[0].dim(1);
-  Workspace& ws = Workspace::ThreadLocal();
-  Tensor sum = ws.NewTensor(passes[0].shape());
-  CopyInto(passes[0], &sum);
-  Tensor sum_sq = ws.NewTensor(passes[0].shape());
-  MulInto(passes[0], passes[0], &sum_sq);
-  Tensor sq = ws.NewTensor(passes[0].shape());
-  for (size_t s = 1; s < num_samples_; ++s) {
-    AddInto(sum, passes[s], &sum);  // aliased: elementwise in-place add.
-    MulInto(passes[s], passes[s], &sq);
-    AddInto(sum_sq, sq, &sum_sq);  // aliased: elementwise in-place add.
-  }
-  const double inv_s = 1.0 / static_cast<double>(num_samples_);
-  for (size_t i = 0; i < n; ++i) {
-    out[i].mean.resize(out_dim);
-    out[i].std.resize(out_dim);
-    for (size_t j = 0; j < out_dim; ++j) {
-      const double m = sum.At(i, j) * inv_s;
-      double var = sum_sq.At(i, j) * inv_s - m * m;
-      if (var < 0.0) var = 0.0;  // Numerical guard.
-      out[i].mean[j] = m;
-      out[i].std[j] = std::sqrt(var);
-    }
   }
   // Chaos injection: one prediction comes back poisoned, as a corrupted
   // pass would leave it. Consumers must drop it, not crash on it.

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "nn/sequential.h"
 #include "uncertainty/estimator.h"
+#include "uncertainty/stochastic_passes.h"
 
 namespace tasfar {
 
@@ -22,21 +22,27 @@ namespace tasfar {
 /// uncertainty to be non-degenerate; models without dropout yield zero
 /// uncertainty, which the predictor reports as-is.
 ///
+/// Cost: the layers before the first Dropout (the deterministic trunk:
+/// the conv backbone of the crowd and PDR models) give the same bytes on
+/// every pass, so Predict runs them once per call and only the rest per
+/// pass (RunStochasticPasses, uncertainty/stochastic_passes.h).
+///
 /// Parallelism and determinism (docs/THREADING.md): Predict fans the
-/// stochastic passes across the global thread pool. Each pass checks a
-/// model replica out of an internal pool (created lazily, reused across
-/// passes and Predict calls); replica parameters share the wrapped model's
-/// buffers zero-copy (docs/MEMORY.md), and every checkout re-shares any
-/// parameter whose buffer changed since — e.g. after fine-tuning — so
-/// replicas never serve stale weights. Dropout streams are reseeded from
-/// (seed, call index, pass index), which pins the masks to the pass, not
-/// to the replica object, so for a fixed seed the k-th Predict call on a
-/// predictor returns byte-identical results at every thread count — while
-/// successive calls still draw fresh dropout ensembles (the MC mean
-/// remains a statistical estimate). Predict never mutates the wrapped
-/// model; concurrent Predict calls are safe as long as nothing else
-/// mutates the model. PredictMean runs the model itself (layer activation
-/// caches mutate) and is not thread-safe.
+/// trunk's batch slices, then the stochastic passes, across the global
+/// thread pool. Pass s runs on the replica of its Workspace lane (created
+/// lazily, reused across passes and Predict calls), and the trunk on
+/// per-call copies of its layers; all share the wrapped model's parameter
+/// buffers zero-copy (docs/MEMORY.md), and every use of a replica
+/// re-shares any parameter whose buffer changed since — e.g. after
+/// fine-tuning — so replicas never serve stale weights. Dropout streams
+/// are reseeded from (seed, call index, pass index), which pins the masks
+/// to the pass, not to the replica object, so for a fixed seed the k-th
+/// Predict call on a predictor returns byte-identical results at every
+/// thread count — while successive calls still draw fresh dropout
+/// ensembles (the MC mean remains a statistical estimate). Predict never
+/// mutates the wrapped model; concurrent Predict calls are safe as long as
+/// nothing else mutates the model. PredictMean runs the model itself
+/// (layer activation caches mutate) and is not thread-safe.
 class McDropoutPredictor : public UncertaintyEstimator {
  public:
   /// `model` must outlive the predictor. num_samples >= 2. `seed` is the
@@ -64,7 +70,7 @@ class McDropoutPredictor : public UncertaintyEstimator {
   void Reseed(uint64_t seed) override;
 
   /// Same num_samples/batch_size/seed over `model`, with a fresh call
-  /// counter and an empty replica pool.
+  /// counter and no replicas yet.
   std::unique_ptr<UncertaintyEstimator> Clone(
       Sequential* model) const override;
 
@@ -73,11 +79,6 @@ class McDropoutPredictor : public UncertaintyEstimator {
   size_t num_samples() const { return num_samples_; }
 
  private:
-  /// Pops a pooled replica (or clones one on first use) and re-shares any
-  /// parameter whose buffer no longer matches the model's.
-  std::unique_ptr<Sequential> CheckoutReplica() const;
-  void ReturnReplica(std::unique_ptr<Sequential> replica) const;
-
   Sequential* model_;
   size_t num_samples_;
   size_t batch_size_;
@@ -85,10 +86,8 @@ class McDropoutPredictor : public UncertaintyEstimator {
   /// Stream index of the next Predict call; atomic so concurrent Predict
   /// calls draw disjoint dropout ensembles.
   mutable std::atomic<uint64_t> next_call_{0};
-  /// Replica pool: at most one replica per concurrently running pass ever
-  /// exists; in steady state checkouts are pointer swaps, not clones.
-  mutable std::mutex replica_mu_;
-  mutable std::vector<std::unique_ptr<Sequential>> replica_pool_;
+  /// Head replica of each pass lane, touched only under that lane's lock.
+  mutable std::unique_ptr<Sequential> head_replicas_[kPassLanes];
 };
 
 }  // namespace tasfar

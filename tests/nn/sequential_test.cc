@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
+#include "nn/multi_column.h"
 #include "util/rng.h"
 
 namespace tasfar {
@@ -143,6 +146,49 @@ TEST(SequentialTest, TrainingFlagPropagatesToDropout) {
   EXPECT_DOUBLE_EQ(inference.MaxAbsDiff(x), 0.0);
   Tensor training = model.Forward(x, true);
   EXPECT_GT(training.MaxAbsDiff(x), 0.0);
+}
+
+TEST(SequentialTest, LayerRangeForwardF32ComposesToTheWholeChain) {
+  Rng rng(14);
+  auto model = SmallMlp(&rng);
+  simd::F32Tensor in;
+  in.FromTensor(Tensor::RandomNormal({5, 3}, &rng));
+  simd::F32Tensor whole;
+  simd::F32Tensor prefix;
+  simd::F32Tensor rest;
+  simd::F32Tensor none;
+  model->ForwardF32(in, &whole, false);
+  model->ForwardF32(in, &prefix, false, 0, 2);
+  model->ForwardF32(prefix, &rest, false, 2, 3);
+  model->ForwardF32(in, &none, false, 1, 1);  // Empty range: a copy.
+  ASSERT_EQ(rest.size(), whole.size());
+  EXPECT_EQ(std::memcmp(rest.data(), whole.data(),
+                        whole.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(none.size(), in.size());
+  EXPECT_EQ(std::memcmp(none.data(), in.data(), in.size() * sizeof(float)),
+            0);
+}
+
+TEST(SequentialTest, StochasticStateIsADropoutWithPositiveRate) {
+  Rng rng(15);
+  Sequential model;
+  model.Emplace<Dense>(3, 4, &rng);
+  model.Emplace<Dropout>(0.0, 1);
+  EXPECT_FALSE(model.HasStochasticState());
+  auto quiet = std::make_unique<Sequential>();
+  quiet->Emplace<Relu>();
+  auto noisy = std::make_unique<Sequential>();
+  noisy->Emplace<Dropout>(0.2, 2);
+  auto columns = std::make_unique<MultiColumn>();
+  columns->AddBranch(std::move(quiet));
+  EXPECT_FALSE(columns->HasStochasticState());
+  columns->AddBranch(std::move(noisy));
+  EXPECT_TRUE(columns->HasStochasticState());
+  model.Add(std::move(columns));
+  EXPECT_TRUE(model.HasStochasticState());
+  EXPECT_FALSE(model.layer(0).HasStochasticState());
+  EXPECT_FALSE(model.layer(1).HasStochasticState());
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "tensor/buffer.h"
+#include "tensor/simd/dispatch.h"
 #include "util/thread_pool.h"
+#include "pass_reference.h"
 
 namespace tasfar {
 namespace {
@@ -216,6 +218,54 @@ TEST(SourceEnsembleTest, SteadyStatePredictAllocatesNothing) {
   EXPECT_EQ(after.alloc_count, before.alloc_count);
   EXPECT_GT(after.workspace_reuses, before.workspace_reuses);
   ASSERT_EQ(preds.size(), 32u);
+}
+
+TEST(SourceEnsembleTest, TrunkReuseMatchesFullPasses) {
+  // Source-derived members share every weight, so Predict runs the trunk
+  // once for all of them and only each member's head per member. The
+  // result must be the bytes of one whole-model pass per member, at every
+  // thread count, wherever the trunk ends and however the rows fill the
+  // batches, on every call.
+  constexpr size_t kMembers = 10;  // > kPassLanes: lanes hold two members.
+  constexpr size_t kBatch = 8;
+  constexpr uint64_t kSeed = 0x5eedULL;
+  std::vector<uint64_t> seeds;
+  for (size_t k = 0; k < kMembers; ++k) seeds.push_back(MixSeed(kSeed, k));
+  for (size_t threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    Rng rng(43);
+    for (SplitCase& c : SplitCases(&rng)) {
+      for (size_t rows : {1, 5, 19}) {
+        const Tensor x = CaseInputs(c, rows, &rng);
+        const auto want = WholeModelPasses(c.model.get(), x, kBatch,
+                                           /*training=*/true, /*f32=*/false,
+                                           seeds);
+        DeepEnsemble ensemble =
+            DeepEnsemble::FromSource(c.model.get(), kMembers, kSeed, kBatch);
+        for (int call = 0; call < 2; ++call) {
+          ExpectSameBytes(ensemble.Predict(x), want,
+                          c.name + " rows " + std::to_string(rows) +
+                              " call " + std::to_string(call) + " threads " +
+                              std::to_string(threads));
+        }
+      }
+    }
+    // Tabular in f32: the split goes through the layer-range ForwardF32.
+    simd::SetComputeMode(simd::ComputeMode::kF32);
+    SplitCase c = TabularCase(&rng);
+    const Tensor x = CaseInputs(c, 19, &rng);
+    DeepEnsemble ensemble =
+        DeepEnsemble::FromSource(c.model.get(), kMembers, kSeed, kBatch);
+    const auto want = WholeModelPasses(c.model.get(), x, kBatch,
+                                       /*training=*/true, /*f32=*/true, seeds);
+    for (int call = 0; call < 2; ++call) {
+      ExpectSameBytes(ensemble.Predict(x), want,
+                      "tabular f32 call " + std::to_string(call) +
+                          " threads " + std::to_string(threads));
+    }
+    simd::SetComputeMode(simd::ComputeMode::kDouble);
+  }
+  SetNumThreads(0);
 }
 
 TEST(SourceEnsembleTest, ConcurrentEnsemblesShareMemberLanes) {

@@ -7,8 +7,11 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
+#include "tensor/buffer.h"
+#include "tensor/simd/dispatch.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "pass_reference.h"
 
 namespace tasfar {
 namespace {
@@ -225,14 +228,14 @@ TEST(McDropoutTest, PooledReplicasTrackModelWeightUpdates) {
   auto model = DropoutModel(&rng);
   Tensor x = Tensor::RandomNormal({5, 2}, &rng);
   McDropoutPredictor warm(model.get(), 10, 64, 0x5eedULL);
-  (void)warm.Predict(x);  // Call index 0 — fills the replica pool.
+  (void)warm.Predict(x);  // Call index 0 — creates the lane replicas.
 
   // Fine-tune: mutate every parameter in place. Copy-on-write detaches the
   // model's buffers from the pooled replicas' shared views, so a replica
   // that skipped the checkout re-share would keep serving the old weights.
   for (Tensor* p : model->Params()) *p *= 1.5;
 
-  auto pooled = warm.Predict(x);  // Call index 1, pooled replicas.
+  auto pooled = warm.Predict(x);  // Call index 1, reused replicas.
 
   // A fresh predictor clones its replicas directly from the updated model;
   // its call-index-1 ensemble must match the pooled one byte for byte.
@@ -246,6 +249,132 @@ TEST(McDropoutTest, PooledReplicasTrackModelWeightUpdates) {
       EXPECT_EQ(pooled[i].mean[j], expect[i].mean[j]);
       EXPECT_EQ(pooled[i].std[j], expect[i].std[j]);
     }
+  }
+}
+
+TEST(McDropoutTest, TrunkReuseMatchesFullPasses) {
+  // Predict runs the deterministic trunk once per call and only the layers
+  // from the first stochastic one on per pass. The result must be the
+  // bytes of the whole-model pass loop, at every thread count, wherever
+  // the trunk ends and however the rows fill the batches.
+  constexpr size_t kPasses = 10;  // > kPassLanes: lanes hold two passes.
+  constexpr size_t kBatch = 8;
+  constexpr uint64_t kSeed = 0xfeedULL;
+  auto seeds_of = [](uint64_t call) {
+    std::vector<uint64_t> seeds;
+    for (size_t s = 0; s < kPasses; ++s) {
+      seeds.push_back(MixSeed(MixSeed(kSeed, call), s));
+    }
+    return seeds;
+  };
+  for (size_t threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    Rng rng(41);
+    for (SplitCase& c : SplitCases(&rng)) {
+      EXPECT_EQ(DeterministicTrunkLength(c.model.get()), c.trunk_layers)
+          << c.name;
+      // n = 1, n < batch, n not a multiple of batch.
+      for (size_t rows : {1, 5, 19}) {
+        const Tensor x = CaseInputs(c, rows, &rng);
+        McDropoutPredictor predictor(c.model.get(), kPasses, kBatch, kSeed);
+        for (uint64_t call = 0; call < 2; ++call) {
+          const auto got = predictor.Predict(x);
+          ExpectSameBytes(got,
+                          WholeModelPasses(c.model.get(), x, kBatch,
+                                           /*training=*/true, /*f32=*/false,
+                                           seeds_of(call)),
+                          c.name + " rows " + std::to_string(rows) +
+                              " call " + std::to_string(call) + " threads " +
+                              std::to_string(threads));
+          if (c.trunk_layers == c.model->NumLayers()) {
+            // Every pass gives the same bytes: the std is 0 up to the
+            // rounding of E[x²] - m².
+            for (const McPrediction& p : got) EXPECT_NEAR(p.std[0], 0.0, 1e-6);
+          }
+        }
+      }
+    }
+    // Tabular in f32: the split goes through the layer-range ForwardF32.
+    simd::SetComputeMode(simd::ComputeMode::kF32);
+    SplitCase c = TabularCase(&rng);
+    const Tensor x = CaseInputs(c, 19, &rng);
+    McDropoutPredictor predictor(c.model.get(), kPasses, kBatch, kSeed);
+    for (uint64_t call = 0; call < 2; ++call) {
+      ExpectSameBytes(predictor.Predict(x),
+                      WholeModelPasses(c.model.get(), x, kBatch,
+                                       /*training=*/true, /*f32=*/true,
+                                       seeds_of(call)),
+                      "tabular f32 call " + std::to_string(call) +
+                          " threads " + std::to_string(threads));
+    }
+    simd::SetComputeMode(simd::ComputeMode::kDouble);
+  }
+  SetNumThreads(0);
+}
+
+TEST(McDropoutTest, SteadyStatePredictAllocatesNothing) {
+  // Pass s runs on a replica and Workspace lane fixed by s, and the
+  // trunk's run r of slices on a Workspace fixed by r (docs/MEMORY.md):
+  // once warm, Predict allocates no tensor buffer, however the pool hands
+  // the runs and passes to workers.
+  for (size_t threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    Rng rng(42);
+    for (const auto& make :
+         std::vector<std::function<SplitCase(Rng*)>>{TabularCase,
+                                                     CrowdCase}) {
+      SplitCase c = make(&rng);
+      McDropoutPredictor predictor(c.model.get(), 20, /*batch_size=*/8);
+      const Tensor x = CaseInputs(c, 19, &rng);  // Three slices.
+      for (int warm = 0; warm < 3; ++warm) (void)predictor.Predict(x);
+      const TensorAllocStats before = GetTensorAllocStats();
+      for (int call = 0; call < 5; ++call) (void)predictor.Predict(x);
+      const TensorAllocStats after = GetTensorAllocStats();
+      EXPECT_EQ(after.alloc_count, before.alloc_count)
+          << c.name << " at " << threads << " threads";
+      EXPECT_GT(after.workspace_reuses, before.workspace_reuses);
+    }
+  }
+  SetNumThreads(0);
+}
+
+TEST(McDropoutTest, ConcurrentCallsEachMatchASerialCall) {
+  // Two threads Predict on one predictor: they take turns on its lane
+  // replicas and get separate trunk states (TSan checks both), and each
+  // call returns the bytes of the call index it drew.
+  Rng rng(44);
+  SplitCase c = TabularCase(&rng);
+  const Tensor x = CaseInputs(c, 19, &rng);
+  constexpr int kCalls = 16;
+  McDropoutPredictor serial(c.model.get(), 10, /*batch_size=*/8);
+  std::vector<std::vector<McPrediction>> want;
+  for (int i = 0; i < kCalls; ++i) want.push_back(serial.Predict(x));
+  McDropoutPredictor shared(c.model.get(), 10, /*batch_size=*/8);
+  std::vector<std::vector<McPrediction>> got_a;
+  std::vector<std::vector<McPrediction>> got_b;
+  {
+    BackgroundThread run_a("mc-a", [&] {
+      for (int i = 0; i < kCalls / 2; ++i) got_a.push_back(shared.Predict(x));
+    });
+    BackgroundThread run_b("mc-b", [&] {
+      for (int i = 0; i < kCalls / 2; ++i) got_b.push_back(shared.Predict(x));
+    });
+  }
+  auto same = [](const std::vector<McPrediction>& a,
+                 const std::vector<McPrediction>& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].mean != b[i].mean || a[i].std != b[i].std) return false;
+    }
+    return a.size() == b.size();
+  };
+  std::vector<bool> matched(kCalls, false);
+  got_a.insert(got_a.end(), got_b.begin(), got_b.end());
+  for (const auto& got : got_a) {
+    bool found = false;
+    for (int k = 0; k < kCalls && !found; ++k) {
+      if (!matched[k] && same(got, want[k])) matched[k] = found = true;
+    }
+    EXPECT_TRUE(found);
   }
 }
 

@@ -648,6 +648,28 @@ TEST_F(EngineTest, EditedFileMissesTheCache) {
   EXPECT_EQ(after.cache_misses, 1);
 }
 
+TEST_F(EngineTest, PrunesEntriesOfDeletedFiles) {
+  WriteFile("src/core/gone.cc", "void G() {}\n");
+  ASSERT_FALSE(Run().io_error);
+  const fs::path cache = root_ / "cache";
+  ASSERT_TRUE(fs::exists(cache / "src_core_gone.cc.facts"));
+  WriteFile("cache/NOTES", "not an entry\n");
+  fs::remove(root_ / "src/core/gone.cc");
+
+  const AnalyzeResult after = Run();
+  ASSERT_FALSE(after.io_error) << after.error;
+  EXPECT_EQ(after.files_scanned, kFixtureFiles);
+  EXPECT_EQ(after.cache_hits, kFixtureFiles);
+  int entries = 0;
+  for (const auto& e : fs::directory_iterator(cache)) {
+    entries += e.path().extension() == ".facts" ? 1 : 0;
+  }
+  EXPECT_EQ(entries, kFixtureFiles);
+  EXPECT_FALSE(fs::exists(cache / "src_core_gone.cc.facts"));
+  EXPECT_TRUE(fs::exists(cache / "src_core_sample.cc.facts"));
+  EXPECT_TRUE(fs::exists(cache / "NOTES"));  // Only entries are pruned.
+}
+
 TEST_F(EngineTest, SuppressionsApplyAndCountsSplit) {
   const AnalyzeResult result = Run();
   ASSERT_FALSE(result.io_error) << result.error;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "lexer.h"
@@ -151,6 +152,25 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
   result.files_scanned = static_cast<int>(sources.size());
   result.cache_hits = hits.load();
   result.cache_misses = misses.load();
+  if (use_cache) {
+    // Entries of deleted or renamed files: lookups go by path, so nothing
+    // would read them again; drop them so the cache holds what was scanned.
+    std::set<std::string> live;
+    for (const std::string& rel : sources) {
+      live.insert(CacheEntry(options.cache_dir, rel).filename().string());
+    }
+    std::vector<fs::path> stale;
+    std::error_code ec;
+    for (fs::directory_iterator it(options.cache_dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      const fs::path& entry = it->path();
+      if (entry.extension() == ".facts" &&
+          live.count(entry.filename().string()) == 0) {
+        stale.push_back(entry);
+      }
+    }
+    for (const fs::path& entry : stale) fs::remove(entry, ec);
+  }
 
   // Docs are read fresh every run: they are few, cheap to scan, and the
   // cross-checks must see edits immediately.

@@ -13,7 +13,8 @@ struct AnalyzeOptions {
   std::string repo_root;
   /// Incremental-cache directory; empty disables the cache. The engine
   /// creates it on demand; entries are one serialized FileFacts per file,
-  /// keyed by path and validated by content hash + schema version.
+  /// keyed by path and validated by content hash + schema version. After
+  /// each scan the entries of files that were not scanned are deleted.
   std::string cache_dir;
 };
 
