@@ -197,8 +197,8 @@ BENCHMARK(BM_McDropoutAllocs);
 // members, range(1) = thread count. Predict fans the member forward
 // passes across ParallelFor with one pinned dropout stream per member
 // (docs/UNCERTAINTY.md), so rows are byte-identical across thread counts;
-// the 1-thread rows are the serial baseline for the BENCH_PR10.json
-// ensemble-scaling headline.
+// the 1-thread rows are the serial baseline (docs/BENCHMARKING.md §Serial
+// vs parallel). A dev benchmark: no CI job gates it.
 void BM_EnsemblePredictThreads(benchmark::State& state) {
   const size_t prev_threads = GetNumThreads();
   SetNumThreads(static_cast<size_t>(state.range(1)));

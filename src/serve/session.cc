@@ -118,9 +118,9 @@ Session::Session(std::string user_id, const Sequential& source_model,
   serving_model_ = base_model_->CloneSequential();
   ServeModelLocked(std::move(serving_model_), /*adapted=*/false);
   BackendCounter(config_.backend)->Increment();
-  telemetry_.RecordFlight(FlightCode::kSessionCreated,
-                          obs::CurrentTraceContext().trace_id,
-                          std::string("backend=") + predictor_->name());
+  telemetry_.RecordFlight(
+      FlightCode::kSessionCreated, obs::CurrentTraceContext().trace_id,
+      std::string("backend=") + UncertaintyBackendName(config_.backend));
 }
 
 size_t Session::UsedBytesLocked() const {
@@ -329,8 +329,8 @@ void Session::RunAdaptAndFinish(uint64_t adapt_seed) {
     // The degradation chain was silent before the flight recorder: dump
     // the ring to the log and retain the blob for InspectSession.
     TASFAR_LOG(kWarning) << "serve: session '" << user_id_ << "' (backend "
-                         << predictor_->name() << ") degraded: " << fault
-                         << "\n"
+                         << UncertaintyBackendName(config_.backend)
+                         << ") degraded: " << fault << "\n"
                          << telemetry_.DumpFlight(user_id_, fault);
     return;
   }
@@ -377,7 +377,7 @@ SessionInfo Session::Info() const {
   info.adapt_runs = adapt_runs_;
   info.serving_adapted = serving_adapted_;
   info.degraded_reason = degraded_reason_;
-  info.backend = predictor_->name();
+  info.backend = UncertaintyBackendName(config_.backend);
   return info;
 }
 

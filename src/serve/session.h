@@ -158,7 +158,8 @@ class Session {
   /// the detached adapted parameters, the density map, and — for the
   /// kDeepEnsemble backend — the member replicas.
   size_t UsedBytesLocked() const;
-  /// Rebuilds the estimator over `model` (callers hold mu_).
+  /// Serves `model` through a fresh MakeEstimator build, so the swapped-in
+  /// model's first Predict is call index 0 (callers hold mu_).
   void ServeModelLocked(std::unique_ptr<Sequential> model, bool adapted);
 
   const std::string user_id_;

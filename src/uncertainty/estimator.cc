@@ -70,7 +70,7 @@ std::unique_ptr<UncertaintyEstimator> MakeEstimator(
           model, config.ensemble_members, config.seed, config.batch_size));
     case UncertaintyBackend::kLastLayerLaplace:
       return std::make_unique<LastLayerLaplace>(
-          model, config.laplace_prior_precision, config.batch_size);
+          model, config.laplace_prior_precision);
   }
   TASFAR_CHECK_MSG(false, "unknown uncertainty backend");
   return nullptr;

@@ -53,21 +53,13 @@ bool ParseUncertaintyBackendWire(uint8_t wire, UncertaintyBackend* out);
 /// inputs into per-sample (mean, std) pairs; TASFAR itself never knows
 /// which backend produced them.
 ///
-/// Contract (docs/UNCERTAINTY.md):
-///  - Predict is deterministic per (estimator state, call index): for a
-///    fixed seed the k-th call returns byte-identical results at every
-///    TASFAR_NUM_THREADS. Backends with no per-call stochastic state
-///    (ensemble, Laplace) return byte-identical results on *every* call.
-///  - PredictMean is fully deterministic (no stochastic passes) and never
-///    mutates estimator state observable through Predict.
-///  - Reseed rewinds the estimator to a fresh stream root: after
-///    Reseed(s), the call sequence replays as if the estimator had been
-///    constructed with seed s.
-///  - Clone(model) builds an estimator of the same kind and hyperparameters
-///    over `model` (serve replicas rebuild their estimator this way after
-///    an adapted model is swapped in). `model` must outlive the clone.
-///  - name() is a stable label ("mc_dropout", "ensemble", "laplace") used
-///    for metrics and telemetry; it matches UncertaintyBackendName.
+/// Contract (docs/UNCERTAINTY.md): Predict is deterministic per
+/// (estimator state, call index): for a fixed seed the k-th call returns
+/// byte-identical results at every TASFAR_NUM_THREADS. Backends with no
+/// per-call stochastic state (ensemble, Laplace) return byte-identical
+/// results on *every* call. An estimator serves the one model it was
+/// built over; a caller that swaps models builds a fresh estimator with
+/// MakeEstimator, whose first Predict is call index 0 again.
 class UncertaintyEstimator {
  public:
   virtual ~UncertaintyEstimator() = default;
@@ -75,20 +67,6 @@ class UncertaintyEstimator {
   /// Per-sample predictive mean and std for every row of `inputs`
   /// ({n, in_dim}); n == 0 returns an empty vector.
   virtual std::vector<McPrediction> Predict(const Tensor& inputs) const = 0;
-
-  /// Deterministic predictions, {n, out_dim}; an empty rank-2 tensor when
-  /// n == 0.
-  virtual Tensor PredictMean(const Tensor& inputs) const = 0;
-
-  /// Resets the stream root; see the class contract.
-  virtual void Reseed(uint64_t seed) = 0;
-
-  /// Same backend and hyperparameters over a different model.
-  virtual std::unique_ptr<UncertaintyEstimator> Clone(
-      Sequential* model) const = 0;
-
-  /// Stable backend label (== UncertaintyBackendName of its backend).
-  virtual const char* name() const = 0;
 };
 
 /// Everything MakeEstimator needs; a subset applies to each backend (the

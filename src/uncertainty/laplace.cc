@@ -4,11 +4,9 @@
 #include <limits>
 
 #include "nn/dense.h"
-#include "nn/trainer.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/simd/dispatch.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
@@ -40,15 +38,11 @@ bool CholeskyInPlace(std::vector<double>* h, size_t d) {
 
 }  // namespace
 
-LastLayerLaplace::LastLayerLaplace(Sequential* model, double prior_precision,
-                                   size_t batch_size)
-    : model_(model),
-      prior_precision_(prior_precision),
-      batch_size_(batch_size) {
+LastLayerLaplace::LastLayerLaplace(Sequential* model, double prior_precision)
+    : model_(model), prior_precision_(prior_precision) {
   TASFAR_CHECK(model != nullptr);
   TASFAR_CHECK_MSG(prior_precision > 0.0,
                    "Laplace prior precision must be > 0");
-  TASFAR_CHECK(batch_size > 0);
   TASFAR_CHECK_MSG(model->NumLayers() > 0, "empty model has no Dense head");
   cut_ = model->NumLayers() - 1;
   TASFAR_CHECK_MSG(dynamic_cast<Dense*>(&model->layer(cut_)) != nullptr,
@@ -127,22 +121,6 @@ std::vector<McPrediction> LastLayerLaplace::Predict(
     out[0].std[0] = std::numeric_limits<double>::quiet_NaN();
   }
   return out;
-}
-
-Tensor LastLayerLaplace::PredictMean(const Tensor& inputs) const {
-  if (inputs.dim(0) == 0) return Tensor({0, 0});
-  if (simd::ComputeModeIsF32() && model_->SupportsF32()) {
-    return BatchedForwardF32(model_, inputs, /*training=*/false, batch_size_);
-  }
-  return BatchedForward(model_, inputs, /*training=*/false, batch_size_);
-}
-
-void LastLayerLaplace::Reseed(uint64_t /*seed*/) {}
-
-std::unique_ptr<UncertaintyEstimator> LastLayerLaplace::Clone(
-    Sequential* model) const {
-  return std::make_unique<LastLayerLaplace>(model, prior_precision_,
-                                            batch_size_);
 }
 
 }  // namespace tasfar

@@ -1,8 +1,6 @@
 #ifndef TASFAR_UNCERTAINTY_LAPLACE_H_
 #define TASFAR_UNCERTAINTY_LAPLACE_H_
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nn/sequential.h"
@@ -34,40 +32,22 @@ namespace tasfar {
 /// the forward pass, which is deterministic by the threading contract;
 /// the ΦᵀΦ accumulation and the Cholesky solve run serially). Predict
 /// runs the wrapped model itself (activation caches mutate), so
-/// concurrent calls are NOT safe — matching PredictMean on every backend.
+/// concurrent calls are NOT safe.
 class LastLayerLaplace : public UncertaintyEstimator {
  public:
   /// `model` must outlive the estimator and end in a Dense layer (the
   /// regression head the posterior is built over). prior_precision > 0 is
-  /// the λ of H = λI + ΦᵀΦ. `batch_size` is accepted for config symmetry;
-  /// feature extraction runs whole-batch.
-  explicit LastLayerLaplace(Sequential* model, double prior_precision = 1.0,
-                            size_t batch_size = 64);
+  /// the λ of H = λI + ΦᵀΦ. Feature extraction runs whole-batch.
+  explicit LastLayerLaplace(Sequential* model, double prior_precision = 1.0);
 
   LastLayerLaplace(const LastLayerLaplace&) = delete;
   LastLayerLaplace& operator=(const LastLayerLaplace&) = delete;
 
   std::vector<McPrediction> Predict(const Tensor& inputs) const override;
 
-  /// The model's deterministic predictions, {n, out_dim}; an empty rank-2
-  /// tensor when n == 0.
-  Tensor PredictMean(const Tensor& inputs) const override;
-
-  /// No stochastic streams exist; a no-op kept for interface symmetry.
-  void Reseed(uint64_t seed) override;
-
-  /// Same prior precision over `model`.
-  std::unique_ptr<UncertaintyEstimator> Clone(
-      Sequential* model) const override;
-
-  const char* name() const override { return "laplace"; }
-
-  double prior_precision() const { return prior_precision_; }
-
  private:
   Sequential* model_;
   double prior_precision_;
-  size_t batch_size_;
   /// Layer index of the final Dense; features are ForwardTo(·, cut_).
   size_t cut_;
 };

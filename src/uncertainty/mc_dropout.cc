@@ -3,7 +3,6 @@
 #include <limits>
 #include <memory>
 
-#include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/dispatch.h"
@@ -100,25 +99,6 @@ std::vector<McPrediction> McDropoutPredictor::Predict(
     out[0].std[0] = std::numeric_limits<double>::quiet_NaN();
   }
   return out;
-}
-
-Tensor McDropoutPredictor::PredictMean(const Tensor& inputs) const {
-  if (inputs.dim(0) == 0) return Tensor({0, 0});
-  if (simd::ComputeModeIsF32() && model_->SupportsF32()) {
-    return BatchedForwardF32(model_, inputs, /*training=*/false, batch_size_);
-  }
-  return BatchedForward(model_, inputs, /*training=*/false, batch_size_);
-}
-
-void McDropoutPredictor::Reseed(uint64_t seed) {
-  seed_ = seed;
-  next_call_.store(0, std::memory_order_relaxed);
-}
-
-std::unique_ptr<UncertaintyEstimator> McDropoutPredictor::Clone(
-    Sequential* model) const {
-  return std::make_unique<McDropoutPredictor>(model, num_samples_,
-                                              batch_size_, seed_);
 }
 
 }  // namespace tasfar

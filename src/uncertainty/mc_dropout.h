@@ -41,8 +41,7 @@ namespace tasfar {
 /// thread count — while successive calls still draw fresh dropout
 /// ensembles (the MC mean remains a statistical estimate). Predict never
 /// mutates the wrapped model; concurrent Predict calls are safe as long as
-/// nothing else mutates the model. PredictMean runs the model itself
-/// (layer activation caches mutate) and is not thread-safe.
+/// nothing else mutates the model.
 class McDropoutPredictor : public UncertaintyEstimator {
  public:
   /// `model` must outlive the predictor. num_samples >= 2. `seed` is the
@@ -60,23 +59,6 @@ class McDropoutPredictor : public UncertaintyEstimator {
   /// smaller than or not a multiple of the batch size is forwarded in one
   /// short final batch.
   std::vector<McPrediction> Predict(const Tensor& inputs) const override;
-
-  /// Deterministic (dropout-off) predictions, {n, out_dim}; returns an
-  /// empty rank-2 tensor when n == 0.
-  Tensor PredictMean(const Tensor& inputs) const override;
-
-  /// Rewinds to a fresh stream root: the next Predict is call index 0 of
-  /// `seed`'s stream, as on a freshly constructed predictor.
-  void Reseed(uint64_t seed) override;
-
-  /// Same num_samples/batch_size/seed over `model`, with a fresh call
-  /// counter and no replicas yet.
-  std::unique_ptr<UncertaintyEstimator> Clone(
-      Sequential* model) const override;
-
-  const char* name() const override { return "mc_dropout"; }
-
-  size_t num_samples() const { return num_samples_; }
 
  private:
   Sequential* model_;

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/tasfar.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
@@ -15,118 +12,6 @@
 
 namespace tasfar {
 namespace {
-
-std::unique_ptr<Sequential> SmallModel(Rng* rng) {
-  auto m = std::make_unique<Sequential>();
-  m->Emplace<Dense>(1, 16, rng);
-  m->Emplace<Relu>();
-  m->Emplace<Dense>(16, 1, rng);
-  return m;
-}
-
-DeepEnsemble TrainedEnsemble(size_t members, uint64_t seed) {
-  Rng rng(seed);
-  Tensor x({200, 1});
-  Tensor y({200, 1});
-  for (size_t i = 0; i < 200; ++i) {
-    x.At(i, 0) = rng.Uniform(-2.0, 2.0);
-    y.At(i, 0) = x.At(i, 0) + rng.Normal(0.0, 0.05);
-  }
-  TrainConfig tc;
-  tc.epochs = 40;
-  return DeepEnsemble::Train(SmallModel, x, y, members, tc, 0.01, &rng);
-}
-
-TEST(DeepEnsembleTest, PredictsPerSampleWithDisagreement) {
-  DeepEnsemble ensemble = TrainedEnsemble(3, 1);
-  EXPECT_EQ(ensemble.num_members(), 3u);
-  Rng rng(2);
-  Tensor x = Tensor::RandomNormal({10, 1}, &rng);
-  auto preds = ensemble.Predict(x);
-  ASSERT_EQ(preds.size(), 10u);
-  for (const auto& p : preds) {
-    EXPECT_EQ(p.mean.size(), 1u);
-    EXPECT_GE(p.std[0], 0.0);
-  }
-}
-
-TEST(DeepEnsembleTest, InDistributionPredictionsAccurate) {
-  DeepEnsemble ensemble = TrainedEnsemble(3, 3);
-  Tensor x({3, 1}, {-1.0, 0.0, 1.0});
-  Tensor mean = ensemble.PredictMean(x);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(mean.At(i, 0), x.At(i, 0), 0.15);
-  }
-}
-
-TEST(DeepEnsembleTest, DisagreementGrowsOutOfDistribution) {
-  DeepEnsemble ensemble = TrainedEnsemble(4, 5);
-  Tensor in_dist({20, 1});
-  Tensor out_dist({20, 1});
-  Rng rng(7);
-  for (size_t i = 0; i < 20; ++i) {
-    in_dist.At(i, 0) = rng.Uniform(-1.5, 1.5);
-    out_dist.At(i, 0) = rng.Uniform(5.0, 8.0);
-  }
-  double u_in = 0.0, u_out = 0.0;
-  for (const auto& p : ensemble.Predict(in_dist)) {
-    u_in += p.ScalarUncertainty();
-  }
-  for (const auto& p : ensemble.Predict(out_dist)) {
-    u_out += p.ScalarUncertainty();
-  }
-  EXPECT_GT(u_out, u_in);
-}
-
-TEST(DeepEnsembleTest, MeanMatchesMemberAverage) {
-  DeepEnsemble ensemble = TrainedEnsemble(2, 9);
-  Rng rng(11);
-  Tensor x = Tensor::RandomNormal({5, 1}, &rng);
-  Tensor mean = ensemble.PredictMean(x);
-  Tensor manual = (ensemble.member(0).Forward(x, false) +
-                   ensemble.member(1).Forward(x, false)) /
-                  2.0;
-  EXPECT_NEAR(mean.MaxAbsDiff(manual), 0.0, 1e-12);
-}
-
-TEST(DeepEnsembleTest, PluggableIntoTasfarPipeline) {
-  // The paper's orthogonality claim, end to end: calibrate and adapt with
-  // ensemble predictions instead of MC dropout.
-  Rng rng(13);
-  Tensor src_x({300, 1});
-  Tensor src_y({300, 1});
-  for (size_t i = 0; i < 300; ++i) {
-    src_x.At(i, 0) = rng.Uniform(-2.0, 2.0);
-    src_y.At(i, 0) = src_x.At(i, 0) + rng.Normal(0.0, 0.05);
-  }
-  TrainConfig tc;
-  tc.epochs = 40;
-  DeepEnsemble ensemble =
-      DeepEnsemble::Train(SmallModel, src_x, src_y, 3, tc, 0.01, &rng);
-
-  TasfarOptions options;
-  options.grid_cell_size = 0.05;
-  options.adaptation.train.epochs = 30;
-  Tasfar tasfar(options);
-  SourceCalibration calib = tasfar.CalibrateFromPredictions(
-      ensemble.Predict(src_x), src_y);
-  EXPECT_GT(calib.tau, 0.0);
-
-  // Target: in-distribution cluster + OOD inputs, labels near 1.8.
-  Tensor tgt_x({150, 1});
-  for (size_t i = 0; i < 150; ++i) {
-    tgt_x.At(i, 0) =
-        (i % 3 == 0) ? rng.Uniform(2.5, 3.5) : rng.Uniform(1.4, 1.9);
-  }
-  // Adapt member 0 using the ensemble's uncertainties.
-  Rng adapt_rng(17);
-  TasfarReport report = tasfar.AdaptWithPredictions(
-      &ensemble.member(0), calib, tgt_x, ensemble.Predict(tgt_x),
-      &adapt_rng);
-  EXPECT_EQ(report.predictions.size(), 150u);
-  EXPECT_EQ(report.num_confident + report.num_uncertain, 150u);
-  ASSERT_NE(report.target_model, nullptr);
-}
 
 std::unique_ptr<Sequential> DropoutModel(Rng* rng) {
   auto m = std::make_unique<Sequential>();
@@ -189,18 +74,6 @@ TEST(SourceEnsembleTest, PredictIsByteIdenticalAtAnyThreadCount) {
   auto c = run(8);
   ExpectIdentical(a, b);
   ExpectIdentical(a, c);
-}
-
-TEST(SourceEnsembleTest, PredictMeanEqualsSourcePrediction) {
-  // Members share the source weights, so the deterministic ensemble mean
-  // is the source model's own deterministic prediction.
-  Rng rng(34);
-  auto model = DropoutModel(&rng);
-  DeepEnsemble ensemble = DeepEnsemble::FromSource(model.get(), 3, 0x5eed);
-  Tensor x = Tensor::RandomNormal({7, 2}, &rng);
-  Tensor mean = ensemble.PredictMean(x);
-  Tensor source = model->Forward(x, /*training=*/false);
-  EXPECT_NEAR(mean.MaxAbsDiff(source), 0.0, 1e-12);
 }
 
 TEST(SourceEnsembleTest, SteadyStatePredictAllocatesNothing) {
@@ -295,39 +168,11 @@ TEST(SourceEnsembleTest, ConcurrentEnsemblesShareMemberLanes) {
   ExpectIdentical(got_b, want_b);
 }
 
-TEST(SourceEnsembleTest, ReseedRerollsTheMemberStreams) {
-  Rng rng(36);
-  auto model = DropoutModel(&rng);
-  DeepEnsemble ensemble = DeepEnsemble::FromSource(model.get(), 4, 0x5eed);
-  Tensor x = Tensor::RandomNormal({10, 2}, &rng, 0.0, 2.0);
-  auto original = ensemble.Predict(x);
-  ensemble.Reseed(0xabcdULL);
-  auto rerolled = ensemble.Predict(x);
-  double diff = 0.0;
-  for (size_t i = 0; i < original.size(); ++i) {
-    diff += std::fabs(original[i].mean[0] - rerolled[i].mean[0]);
-  }
-  EXPECT_GT(diff, 0.0);
-  ensemble.Reseed(0x5eedULL);  // Replay: back to the original bytes.
-  ExpectIdentical(ensemble.Predict(x), original);
-}
-
-TEST(SourceEnsembleTest, CloneRebuildsOverTheNewModel) {
-  Rng rng(37);
-  auto model = DropoutModel(&rng);
-  DeepEnsemble ensemble = DeepEnsemble::FromSource(model.get(), 3, 0x5eed);
-  auto replica_model = model->CloneSequential();
-  auto clone = ensemble.Clone(replica_model.get());
-  EXPECT_STREQ(clone->name(), "ensemble");
-  Tensor x = Tensor::RandomNormal({8, 2}, &rng);
-  ExpectIdentical(ensemble.Predict(x), clone->Predict(x));
-}
-
 TEST(DeepEnsembleDeathTest, SingleMemberRejected) {
   Rng rng(19);
-  std::vector<std::unique_ptr<Sequential>> one;
-  one.push_back(SmallModel(&rng));
-  EXPECT_DEATH(DeepEnsemble{std::move(one)}, "at least two");
+  auto model = DropoutModel(&rng);
+  EXPECT_DEATH(DeepEnsemble::FromSource(model.get(), 1, 0x5eed),
+               "at least two");
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // The UncertaintyEstimator seam (docs/UNCERTAINTY.md): backend labels and
-// wire values, the MakeEstimator factory, and the cross-backend pieces of
-// the estimator contract (Reseed replay, Clone over a new model).
+// wire values, and the MakeEstimator factory.
 
 #include "uncertainty/estimator.h"
 
@@ -83,18 +82,6 @@ TEST(UncertaintyBackendTest, WireParseRoundTrips) {
   EXPECT_FALSE(ParseUncertaintyBackendWire(255, &out));
 }
 
-TEST(MakeEstimatorTest, BuildsEveryBackendWithMatchingName) {
-  Rng rng(1);
-  auto model = DropoutModel(&rng);
-  for (UncertaintyBackend backend :
-       {UncertaintyBackend::kMcDropout, UncertaintyBackend::kDeepEnsemble,
-        UncertaintyBackend::kLastLayerLaplace}) {
-    auto estimator = MakeEstimator(model.get(), ConfigFor(backend));
-    ASSERT_NE(estimator, nullptr);
-    EXPECT_STREQ(estimator->name(), UncertaintyBackendName(backend));
-  }
-}
-
 TEST(MakeEstimatorTest, EveryBackendPredictsFiniteStats) {
   Rng rng(2);
   auto model = DropoutModel(&rng);
@@ -104,15 +91,13 @@ TEST(MakeEstimatorTest, EveryBackendPredictsFiniteStats) {
         UncertaintyBackend::kLastLayerLaplace}) {
     auto estimator = MakeEstimator(model.get(), ConfigFor(backend));
     auto preds = estimator->Predict(x);
-    ASSERT_EQ(preds.size(), 9u) << estimator->name();
+    ASSERT_EQ(preds.size(), 9u) << UncertaintyBackendName(backend);
     for (const auto& p : preds) {
       ASSERT_EQ(p.mean.size(), 1u);
       ASSERT_EQ(p.std.size(), 1u);
-      EXPECT_TRUE(std::isfinite(p.mean[0])) << estimator->name();
-      EXPECT_GE(p.std[0], 0.0) << estimator->name();
+      EXPECT_TRUE(std::isfinite(p.mean[0])) << UncertaintyBackendName(backend);
+      EXPECT_GE(p.std[0], 0.0) << UncertaintyBackendName(backend);
     }
-    Tensor mean = estimator->PredictMean(x);
-    EXPECT_EQ(mean.dim(0), 9u);
   }
 }
 
@@ -129,43 +114,6 @@ TEST(MakeEstimatorTest, McDropoutDefaultMatchesDirectConstruction) {
                             config.seed);
   ExpectIdentical(via_factory->Predict(x), direct.Predict(x));
   ExpectIdentical(via_factory->Predict(x), direct.Predict(x));  // Call #2.
-}
-
-TEST(MakeEstimatorTest, ReseedReplaysTheCallSequence) {
-  // Contract: after Reseed(s) the call sequence replays as if constructed
-  // with seed s — for every backend (trivially for the deterministic ones).
-  Rng rng(4);
-  auto model = DropoutModel(&rng);
-  Tensor x = Tensor::RandomNormal({6, 2}, &rng);
-  for (UncertaintyBackend backend :
-       {UncertaintyBackend::kMcDropout, UncertaintyBackend::kDeepEnsemble,
-        UncertaintyBackend::kLastLayerLaplace}) {
-    auto estimator = MakeEstimator(model.get(), ConfigFor(backend));
-    auto first = estimator->Predict(x);
-    auto second = estimator->Predict(x);
-    estimator->Reseed(ConfigFor(backend).seed);
-    ExpectIdentical(estimator->Predict(x), first);
-    ExpectIdentical(estimator->Predict(x), second);
-  }
-}
-
-TEST(MakeEstimatorTest, CloneReproducesTheEstimatorOverANewModel) {
-  // Serve replicas rebuild their estimator via Clone after an adapted
-  // model swap; the clone must behave as a fresh factory build.
-  Rng rng(5);
-  auto model = DropoutModel(&rng);
-  Tensor x = Tensor::RandomNormal({6, 2}, &rng);
-  for (UncertaintyBackend backend :
-       {UncertaintyBackend::kMcDropout, UncertaintyBackend::kDeepEnsemble,
-        UncertaintyBackend::kLastLayerLaplace}) {
-    auto original = MakeEstimator(model.get(), ConfigFor(backend));
-    auto replica_model = model->CloneSequential();
-    auto clone = original->Clone(replica_model.get());
-    ASSERT_NE(clone, nullptr);
-    EXPECT_STREQ(clone->name(), original->name());
-    auto fresh = MakeEstimator(replica_model.get(), ConfigFor(backend));
-    ExpectIdentical(clone->Predict(x), fresh->Predict(x));
-  }
 }
 
 TEST(MakeEstimatorDeathTest, NullModelAborts) {

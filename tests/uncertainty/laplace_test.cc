@@ -68,7 +68,7 @@ TEST(LastLayerLaplaceTest, MeanIsTheModelsOwnPrediction) {
   for (size_t i = 0; i < preds.size(); ++i) {
     EXPECT_NEAR(preds[i].mean[0], det.At(i, 0), 1e-12);
   }
-  Tensor mean = laplace.PredictMean(x);
+  Tensor mean = BatchedForward(model.get(), x);
   EXPECT_NEAR(mean.MaxAbsDiff(det), 0.0, 1e-12);
 }
 
@@ -153,20 +153,6 @@ TEST(LastLayerLaplaceTest, EmptyInputReturnsEmpty) {
   LastLayerLaplace laplace(model.get());
   Tensor empty({0, 2});
   EXPECT_TRUE(laplace.Predict(empty).empty());
-  Tensor mean = laplace.PredictMean(empty);
-  EXPECT_EQ(mean.rank(), 2u);
-  EXPECT_EQ(mean.dim(0), 0u);
-}
-
-TEST(LastLayerLaplaceTest, CloneMatchesOriginalOverTheSameWeights) {
-  Rng rng(8);
-  auto model = HeadedModel(&rng);
-  LastLayerLaplace laplace(model.get(), /*prior_precision=*/2.5);
-  auto replica_model = model->CloneSequential();
-  auto clone = laplace.Clone(replica_model.get());
-  EXPECT_STREQ(clone->name(), "laplace");
-  Tensor x = Tensor::RandomNormal({9, 2}, &rng);
-  ExpectIdentical(laplace.Predict(x), clone->Predict(x));
 }
 
 TEST(LastLayerLaplaceTest, PluggableIntoTasfarPipeline) {
