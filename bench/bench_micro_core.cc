@@ -131,8 +131,8 @@ BENCHMARK(BM_McDropoutPredictThreads)
 // compute mode"): identical model, inputs, and RNG streams — the only
 // change is ComputeMode::kF32 routing the stochastic passes through
 // BatchedForwardF32. Divides row-for-row against
-// BM_McDropoutPredictThreads; tools/make_bench_pr9.sh records the
-// 1-thread ratio as the BENCH_PR9.json MC-dropout headline.
+// BM_McDropoutPredictThreads; tools/make_bench_pr9.sh gates the 1-thread
+// ratio (the CI `bench` job's MC-dropout speedup, >= 2.5x).
 void BM_McDropoutPredictF32Threads(benchmark::State& state) {
   const size_t prev_threads = GetNumThreads();
   SetNumThreads(static_cast<size_t>(state.range(1)));
@@ -163,7 +163,8 @@ BENCHMARK(BM_McDropoutPredictF32Threads)
 // warm-up calls have populated them, further Predict calls must not
 // allocate a single tensor buffer at any thread count. The bench reports allocations
 // and workspace hits per iteration and fails outright if any measured
-// iteration allocated.
+// iteration allocated. A dev benchmark: the ctest twin
+// McDropoutTest.SteadyStatePredictAllocatesNothing is the gate.
 void BM_McDropoutAllocs(benchmark::State& state) {
   Rng rng(5);
   auto model = BuildTabularModel(8, &rng);
@@ -224,7 +225,8 @@ BENCHMARK(BM_EnsemblePredictThreads)
 // Steady-state allocation discipline of the ensemble hot path, mirroring
 // BM_McDropoutAllocs: member k's forward pass runs on a workspace arena
 // fixed by k, so after warm-up further Predict calls must not allocate a
-// single tensor buffer.
+// single tensor buffer. A dev benchmark: the ctest twin
+// SourceEnsembleTest.SteadyStatePredictAllocatesNothing is the gate.
 void BM_EnsembleAllocs(benchmark::State& state) {
   Rng rng(5);
   auto model = BuildTabularModel(8, &rng);

@@ -62,10 +62,10 @@ BENCHMARK(BM_MatMulThreads)
 
 // Float32 kernel path (docs/MEMORY.md §"Float32 compute mode"): identical
 // shapes and thread counts to BM_MatMulThreads so the double-vs-f32 rows
-// divide directly — tools/make_bench_pr9.sh records that ratio as the
-// BENCH_PR9.json matmul headline. Includes the narrow→widen staging cost,
-// so this is the speedup a pipeline actually sees, not a raw-kernel
-// number.
+// divide directly — tools/make_bench_pr9.sh gates that ratio at 256³ and
+// 1 thread (the CI `bench` job's MatMul speedup, >= 4x). Includes the
+// narrow→widen staging cost, so this is the speedup a pipeline actually
+// sees, not a raw-kernel number.
 void BM_MatMulF32Threads(benchmark::State& state) {
   const size_t prev_threads = GetNumThreads();
   SetNumThreads(static_cast<size_t>(state.range(1)));

@@ -3,8 +3,9 @@
 //   - session churn: CreateSession+CloseSession round trips per second,
 //   - request latency: client-side p50/p99 of an 8-row Predict, plus the
 //     server-side `tasfar.span.serve.request.ms` histogram quantiles.
-// Writes bench_out/bench_serve.json (the numbers BENCH_PR7.json records)
-// and a full metrics snapshot next to it.
+// Writes bench_out/bench_serve.json and a full metrics snapshot next to
+// it. A dev bench: the gated serving benchmark is bench_e2e's
+// `serve_predict` workload, whose 8-row request mirrors this one's.
 
 #include <algorithm>
 #include <cstdint>

@@ -15,8 +15,6 @@ struct AdaptationTrainConfig {
                     .batch_size = 32,
                     .early_stop_rel_drop = 0.005,
                     .patience = 8,
-                    .shuffle = true,
-                    .verbose = false,
                     // See TrainConfig: dropout-active fine-tuning shifts
                     // the deterministic function even under pure replay.
                     .dropout_during_training = false,
@@ -31,40 +29,22 @@ struct AdaptationTrainConfig {
   /// near-zero gradient, which measurably degrades the confident windows —
   /// hence SGD+momentum is the default here (Adam remains available).
   bool use_sgd = true;
-  double sgd_momentum = 0.9;
   /// Include the confident data with ŷ = ỹ (Section III-D: replay against
   /// catastrophic forgetting).
   bool include_confident = true;
-  /// Training weight of the confident replay samples.
-  double confident_weight = 1.0;
-  /// Optional upper clamp on β_t (0 disables clamping).
-  double beta_clamp = 0.0;
   /// Rescale the β_t of the uncertain set to mean 1. Eq. 22 is a weighted
   /// sum, so a global scale on β is indistinguishable from a learning-rate
   /// change; normalizing keeps the optimizer stable regardless of the
   /// density map's absolute cell values while preserving the *relative*
   /// credibility ordering that Figs. 11-12 validate.
   bool normalize_beta = true;
-  /// Divergence threshold: training is declared diverged when the final
-  /// epoch loss exceeds `divergence_factor` × the best epoch loss (or is
-  /// non-finite, or any parameter ends non-finite). A diverged run rolls
-  /// back to the best-epoch weights snapshot when one exists. 2.0 leaves
-  /// the normal early-stopped descent untouched (the loss would have to
-  /// double from its best to trip it); 0 disables the ratio check.
-  double divergence_factor = 2.0;
-  /// Absolute slack under the ratio check: a run only counts as diverged
-  /// when the final loss also exceeds the best by more than this. Fully
-  /// converged runs oscillate in floating-point noise around ~0 loss,
-  /// where any ratio is meaningless (1e-17 → 2e-15 is "100× worse" and
-  /// utterly benign).
-  double divergence_slack = 1e-8;
 };
 
 /// Result of adaptation training.
 struct AdaptationResult {
   std::unique_ptr<Sequential> model;  ///< The target model f_θt.
   std::vector<EpochStats> history;    ///< Weighted-loss learning curve.
-  /// Training diverged (see AdaptationTrainConfig::divergence_factor).
+  /// Training diverged (the rule is in AdaptationTrainer::Run).
   bool diverged = false;
   /// `model` holds the best-epoch snapshot, not the final weights. Only
   /// possible when `diverged`; when divergence hits with no finite
@@ -72,6 +52,10 @@ struct AdaptationResult {
   /// (core/tasfar.cc falls back to the source model).
   bool rolled_back = false;
 };
+
+/// True when every parameter of `model` is finite: AdaptationTrainer's
+/// snapshot and divergence check, and Tasfar::Adapt's final guard.
+bool AllParamsFinite(Sequential* model);
 
 /// Fine-tunes a clone of the source model on pseudo-labeled uncertain data
 /// (weighted by credibility) plus confident-data replay, with the paper's

@@ -31,13 +31,6 @@ bool FinitePseudoLabel(const PseudoLabel& label) {
   return true;
 }
 
-bool AllParamsFinite(Sequential* model) {
-  for (Tensor* p : model->Params()) {
-    if (!p->AllFinite()) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 EstimatorConfig EstimatorConfigFromOptions(const TasfarOptions& options) {
@@ -45,14 +38,12 @@ EstimatorConfig EstimatorConfigFromOptions(const TasfarOptions& options) {
   config.backend = options.uncertainty_backend;
   config.mc_samples = options.mc_samples;
   config.ensemble_members = options.ensemble_members;
-  config.laplace_prior_precision = options.laplace_prior_precision;
   return config;
 }
 
 Tasfar::Tasfar(const TasfarOptions& options) : options_(options) {
   TASFAR_CHECK(options.mc_samples >= 2);
   TASFAR_CHECK(options.ensemble_members >= 2);
-  TASFAR_CHECK(options.laplace_prior_precision > 0.0);
   TASFAR_CHECK(options.eta > 0.0 && options.eta < 1.0);
   TASFAR_CHECK(options.num_segments >= 1);
   TASFAR_CHECK(options.grid_cell_size > 0.0);
@@ -233,9 +224,9 @@ TasfarReport Tasfar::AdaptWithPredictions(
 
   // 2. Label distribution estimation (Alg. 2).
   LabelDistributionEstimator estimator(calibration.qs_per_dim,
-                                       options_.error_model);
+                                       kTasfarErrorModel);
   std::vector<GridSpec> axes = estimator.AutoAxes(
-      confident_preds, options_.grid_cell_size, options_.grid_margin_sigmas);
+      confident_preds, options_.grid_cell_size, kGridMarginSigmas);
   report.density_map.emplace(estimator.Estimate(confident_preds, axes,
                                                 &report.density_mean_sigma));
   const double mass = report.density_map->TotalMass();

@@ -16,24 +16,30 @@
 
 namespace tasfar {
 
+/// Error model of the instance-label distributions (Eq. 10-12): Gaussian,
+/// as in the paper's experimental section. Tasfar::Adapt and the PDR
+/// harness's component-level evaluations both build their density maps
+/// with it.
+inline constexpr ErrorModelKind kTasfarErrorModel = ErrorModelKind::kGaussian;
+/// Axis margin of the label density map beyond the confident predictions,
+/// in spreads σ (LabelDistributionEstimator::AutoAxes); shared like
+/// kTasfarErrorModel.
+inline constexpr double kGridMarginSigmas = 3.0;
+
 /// End-to-end configuration of TASFAR. Defaults follow the paper's
 /// experimental section: MC dropout with 20 samples, η = 0.9, q = 40
-/// segments, a Gaussian error model, and confident-data replay during
-/// fine-tuning. The uncertainty estimator is pluggable
-/// (docs/UNCERTAINTY.md): `uncertainty_backend` selects which backend
-/// Calibrate/Adapt build through MakeEstimator.
+/// segments, and confident-data replay during fine-tuning. The
+/// uncertainty estimator is pluggable (docs/UNCERTAINTY.md):
+/// `uncertainty_backend` selects which backend Calibrate/Adapt build
+/// through MakeEstimator.
 struct TasfarOptions {
   /// Which UncertaintyEstimator Calibrate/Adapt construct internally.
   UncertaintyBackend uncertainty_backend = UncertaintyBackend::kMcDropout;
   size_t mc_samples = 20;     ///< Stochastic passes for MC dropout.
   size_t ensemble_members = 5;  ///< Members for the kDeepEnsemble backend.
-  /// λ of the kLastLayerLaplace Gauss–Newton prior, H = λI + ΦᵀΦ.
-  double laplace_prior_precision = 1.0;
   double eta = 0.9;           ///< Source confidence ratio for τ (Alg. 1).
   size_t num_segments = 40;   ///< q of Eq. 7.
   double grid_cell_size = 0.1;  ///< g, in label units.
-  double grid_margin_sigmas = 3.0;  ///< Axis margin beyond predictions.
-  ErrorModelKind error_model = ErrorModelKind::kGaussian;
   AdaptationTrainConfig adaptation;
 };
 

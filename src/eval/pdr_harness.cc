@@ -219,7 +219,7 @@ PseudoLabelEval PdrHarness::PseudoLabelQuality(
 
   LabelDistributionEstimator estimator(calib.qs_per_dim, error_model);
   std::vector<GridSpec> axes = estimator.AutoAxes(
-      confident, grid_cell_size, config_.tasfar.grid_margin_sigmas);
+      confident, grid_cell_size, kGridMarginSigmas);
   DensityMap map = estimator.Estimate(confident, axes);
   PseudoLabelGenerator generator(&map, &estimator, calib.tau);
 
@@ -256,10 +256,9 @@ double PdrHarness::DensityMapError(const PdrUserCache& cache,
   std::vector<McPrediction> confident;
   for (size_t i : split.confident) confident.push_back(cache.adapt_preds[i]);
 
-  LabelDistributionEstimator estimator(calib.qs_per_dim,
-                                       config_.tasfar.error_model);
+  LabelDistributionEstimator estimator(calib.qs_per_dim, kTasfarErrorModel);
   std::vector<GridSpec> axes = estimator.AutoAxes(
-      confident, grid_cell_size, config_.tasfar.grid_margin_sigmas);
+      confident, grid_cell_size, kGridMarginSigmas);
   DensityMap estimated = estimator.Estimate(confident, axes);
 
   Tensor confident_labels = GatherFirstDim(

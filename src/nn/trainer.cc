@@ -7,7 +7,6 @@
 #include "tensor/workspace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 
 namespace tasfar {
 
@@ -105,9 +104,7 @@ std::vector<EpochStats> Trainer::Fit(
   double prev_loss = std::numeric_limits<double>::infinity();
   size_t stall = 0;
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    if (config.shuffle) order = rng->Permutation(n);
+    const std::vector<size_t> order = rng->Permutation(n);
 
     double epoch_loss = 0.0;
     size_t batches = 0;
@@ -169,9 +166,6 @@ std::vector<EpochStats> Trainer::Fit(
       kEpochs->Increment();
     }
     if (on_epoch != nullptr) on_epoch(st);
-    if (config.verbose) {
-      TASFAR_LOG(kInfo) << "epoch " << epoch << " loss " << epoch_loss;
-    }
 
     if (config.early_stop_rel_drop > 0.0 &&
         std::isfinite(prev_loss) && prev_loss > 0.0) {

@@ -25,8 +25,6 @@ struct TrainConfig {
   /// speed is significantly reduced).
   double early_stop_rel_drop = 0.0;
   size_t patience = 3;
-  bool shuffle = true;
-  bool verbose = false;
   /// Forward-pass mode during training. Pre-training keeps the default
   /// (dropout active). Fine-tuning a trained model on a small set can
   /// disable it: with dropout active, fitting fixed targets also minimizes
@@ -52,8 +50,9 @@ struct EpochStats {
 /// of any rank are supported; the first dimension indexes samples.
 class Trainer {
  public:
-  /// `model` and `optimizer` must outlive the Trainer. The Rng drives
-  /// shuffling only.
+  /// `model` and `optimizer` must outlive the Trainer. The Rng passed to
+  /// Fit draws each epoch's sample order (a fresh permutation) and nothing
+  /// else.
   Trainer(Sequential* model, Optimizer* optimizer, LossFn loss);
 
   /// Trains on (inputs, targets); `sample_weights` (optional) has one entry

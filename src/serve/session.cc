@@ -124,11 +124,15 @@ Session::Session(std::string user_id, const Sequential& source_model,
 }
 
 size_t Session::UsedBytesLocked() const {
-  size_t bytes = rows_.size() * sizeof(double);
-  if (serving_adapted_) bytes += param_count_ * sizeof(double);
-  if (density_map_.has_value()) {
-    bytes += density_map_->NumCells() * sizeof(double);
-  }
+  return BudgetBytes(rows_.size(), serving_adapted_,
+                     density_map_.has_value() ? density_map_->NumCells() : 0);
+}
+
+size_t Session::BudgetBytes(size_t row_values, bool adapted,
+                            size_t density_cells) const {
+  size_t bytes = row_values * sizeof(double);
+  if (adapted) bytes += param_count_ * sizeof(double);
+  bytes += density_cells * sizeof(double);
   // Ensemble member replicas share the serving model's parameter buffers
   // (copy-on-write), but the budget charges each extra member at full
   // detached size — a conservative, stable bound that keeps admission
@@ -514,15 +518,9 @@ Status Session::RestoreState(const std::string& text) {
   // The blob's footprint counts against this session's budget exactly as
   // if it had arrived via SubmitRows/BeginAdapt — restore must not be a
   // side door past admission control.
-  const size_t restored_bytes =
-      rows.value().size() * sizeof(double) +
-      (restored_model != nullptr ? param_count_ * sizeof(double) : 0) +
-      (restored_map.has_value() ? restored_map->NumCells() * sizeof(double)
-                                : 0) +
-      (config_.backend == UncertaintyBackend::kDeepEnsemble
-           ? (options_.ensemble_members - 1) * param_count_ * sizeof(double)
-           : 0) +
-      telemetry_.MemoryBytes();
+  const size_t restored_bytes = BudgetBytes(
+      rows.value().size(), restored_model != nullptr,
+      restored_map.has_value() ? restored_map->NumCells() : 0);
   if (restored_bytes > config_.budget_bytes) {
     BudgetRejectedCounter()->Increment();
     telemetry_.RecordFlight(FlightCode::kBudgetRejected,

@@ -154,10 +154,18 @@ class Session {
   const std::string& user_id() const { return user_id_; }
 
  private:
-  /// Budget accounting (callers hold mu_): bytes held by accumulated rows,
-  /// the detached adapted parameters, the density map, and — for the
-  /// kDeepEnsemble backend — the member replicas.
+  /// Budget accounting (callers hold mu_): BudgetBytes of the session's
+  /// current rows, adapted parameters and density map.
   size_t UsedBytesLocked() const;
+  /// The budget formula (docs/SERVING.md §Memory budget): bytes held by
+  /// `row_values` doubles of target rows, the detached adapted parameters
+  /// when `adapted`, a density map of `density_cells` cells, the member
+  /// replicas of the kDeepEnsemble backend, and the telemetry rings.
+  /// UsedBytesLocked and RestoreState both charge through it, so a restored
+  /// blob costs what the same state costs when built by SubmitRows and an
+  /// adapt job.
+  size_t BudgetBytes(size_t row_values, bool adapted,
+                     size_t density_cells) const;
   /// Serves `model` through a fresh MakeEstimator build, so the swapped-in
   /// model's first Predict is call index 0 (callers hold mu_).
   void ServeModelLocked(std::unique_ptr<Sequential> model, bool adapted);

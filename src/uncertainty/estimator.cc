@@ -69,8 +69,7 @@ std::unique_ptr<UncertaintyEstimator> MakeEstimator(
       return std::make_unique<DeepEnsemble>(DeepEnsemble::FromSource(
           model, config.ensemble_members, config.seed, config.batch_size));
     case UncertaintyBackend::kLastLayerLaplace:
-      return std::make_unique<LastLayerLaplace>(
-          model, config.laplace_prior_precision);
+      return std::make_unique<LastLayerLaplace>(model);
   }
   TASFAR_CHECK_MSG(false, "unknown uncertainty backend");
   return nullptr;

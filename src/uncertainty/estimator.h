@@ -83,9 +83,6 @@ struct EstimatorConfig {
   /// (zero-copy clones of the source model with pinned per-member dropout
   /// streams). >= 2.
   size_t ensemble_members = 5;
-  /// Prior precision λ of the last-layer-Laplace Gauss–Newton posterior
-  /// (λI + ΦᵀΦ)⁻¹. > 0.
-  double laplace_prior_precision = 1.0;
 };
 
 /// Builds the configured backend over `model` (which must outlive the

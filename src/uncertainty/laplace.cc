@@ -38,11 +38,8 @@ bool CholeskyInPlace(std::vector<double>* h, size_t d) {
 
 }  // namespace
 
-LastLayerLaplace::LastLayerLaplace(Sequential* model, double prior_precision)
-    : model_(model), prior_precision_(prior_precision) {
+LastLayerLaplace::LastLayerLaplace(Sequential* model) : model_(model) {
   TASFAR_CHECK(model != nullptr);
-  TASFAR_CHECK_MSG(prior_precision > 0.0,
-                   "Laplace prior precision must be > 0");
   TASFAR_CHECK_MSG(model->NumLayers() > 0, "empty model has no Dense head");
   cut_ = model->NumLayers() - 1;
   TASFAR_CHECK_MSG(dynamic_cast<Dense*>(&model->layer(cut_)) != nullptr,
@@ -70,11 +67,13 @@ std::vector<McPrediction> LastLayerLaplace::Predict(
   const size_t out_dim = mean.dim(1);
   const size_t d = feat_dim + 1;  // Bias-augmented feature dimension.
 
-  // Gauss–Newton precision H = λI + ΦᵀΦ over the call's own batch,
-  // accumulated serially in ascending row order (byte-identical at every
-  // thread count; n·d² flops on a ≤ tens-wide head is not a hot path).
+  // Gauss–Newton precision H = λI + ΦᵀΦ over the call's own batch, with
+  // unit prior precision λ = 1 (the std's absolute scale is calibrated
+  // away by the Q_s fit), accumulated serially in ascending row order
+  // (byte-identical at every thread count; n·d² flops on a ≤ tens-wide
+  // head is not a hot path).
   std::vector<double> h(d * d, 0.0);
-  for (size_t j = 0; j < d; ++j) h[j * d + j] = prior_precision_;
+  for (size_t j = 0; j < d; ++j) h[j * d + j] = 1.0;
   std::vector<double> phi(d, 1.0);  // phi[feat_dim] stays 1 (bias).
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < feat_dim; ++j) phi[j] = features.At(i, j);

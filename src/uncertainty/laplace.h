@@ -16,12 +16,12 @@ namespace tasfar {
 ///
 /// For each Predict call over inputs X the estimator extracts last-layer
 /// features φ(x) (the activation feeding the final Dense, bias-augmented),
-/// forms the Gauss–Newton precision H = λI + ΦᵀΦ over the call's own
-/// batch, and reports per-sample variance φ(x)ᵀ H⁻¹ φ(x). Rows whose
-/// features sit far from the batch's bulk — exactly the rows the source
-/// model extrapolates on — get large variance, which is the signal the
-/// confidence split needs; the absolute scale is calibrated away by the
-/// QS fit like every other backend's. The mean is the model's own
+/// forms the Gauss–Newton precision H = I + ΦᵀΦ (unit prior precision)
+/// over the call's own batch, and reports per-sample variance
+/// φ(x)ᵀ H⁻¹ φ(x). Rows whose features sit far from the batch's bulk —
+/// exactly the rows the source model extrapolates on — get large
+/// variance, which is the signal the confidence split needs; the absolute
+/// scale is calibrated away by the QS fit like every other backend's. The mean is the model's own
 /// deterministic prediction, and the per-dimension stds are identical
 /// (the MSE Gauss–Newton posterior factorizes per output with a shared
 /// covariance).
@@ -36,9 +36,9 @@ namespace tasfar {
 class LastLayerLaplace : public UncertaintyEstimator {
  public:
   /// `model` must outlive the estimator and end in a Dense layer (the
-  /// regression head the posterior is built over). prior_precision > 0 is
-  /// the λ of H = λI + ΦᵀΦ. Feature extraction runs whole-batch.
-  explicit LastLayerLaplace(Sequential* model, double prior_precision = 1.0);
+  /// regression head the posterior is built over). Feature extraction runs
+  /// whole-batch.
+  explicit LastLayerLaplace(Sequential* model);
 
   LastLayerLaplace(const LastLayerLaplace&) = delete;
   LastLayerLaplace& operator=(const LastLayerLaplace&) = delete;
@@ -47,7 +47,6 @@ class LastLayerLaplace : public UncertaintyEstimator {
 
  private:
   Sequential* model_;
-  double prior_precision_;
   /// Layer index of the final Dense; features are ForwardTo(·, cut_).
   size_t cut_;
 };

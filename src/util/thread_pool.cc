@@ -4,11 +4,13 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <optional>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace tasfar {
 
@@ -176,11 +178,8 @@ namespace {
 
 size_t DefaultNumThreads() {
   if (const char* env = std::getenv("TASFAR_NUM_THREADS")) {
-    char* parse_end = nullptr;
-    const unsigned long v = std::strtoul(env, &parse_end, 10);
-    if (parse_end != env && *parse_end == '\0' && v > 0) {
-      return static_cast<size_t>(v);
-    }
+    const std::optional<uint64_t> v = ParseUnsigned(env, 1, kMaxNumThreads);
+    if (v.has_value()) return static_cast<size_t>(*v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);

@@ -100,13 +100,18 @@ class BackgroundThread {
   std::thread thread_;
 };
 
+/// Largest TASFAR_NUM_THREADS the global pool accepts. A value outside
+/// [1, kMaxNumThreads], or one that is not a whole unsigned decimal, is
+/// ignored: the pool takes std::thread::hardware_concurrency() instead.
+inline constexpr size_t kMaxNumThreads = 1024;
+
 /// Number of threads the global pool uses (lazily created on first use).
 size_t GetNumThreads();
 
 /// Replaces the global pool with one of `num_threads` threads (0 restores
-/// the default: the TASFAR_NUM_THREADS environment variable if set, else
-/// std::thread::hardware_concurrency()). Must not be called while another
-/// thread is inside a global ParallelFor.
+/// the default: the TASFAR_NUM_THREADS environment variable if it holds a
+/// valid count, else std::thread::hardware_concurrency()). Must not be
+/// called while another thread is inside a global ParallelFor.
 void SetNumThreads(size_t num_threads);
 
 /// ParallelFor on the global pool; see ThreadPool::ParallelFor.

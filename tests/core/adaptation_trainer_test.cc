@@ -76,26 +76,6 @@ TEST(AdaptationTrainerTest, ZeroCredibilityLabelsIgnored) {
   EXPECT_NEAR(pred.At(0, 0), 5.0, 0.2);
 }
 
-TEST(AdaptationTrainerTest, BetaClampBoundsWeights) {
-  Rng rng(4);
-  auto source = LinearModel(&rng);
-  Tensor x({10, 1});
-  std::vector<PseudoLabel> pls;
-  for (size_t i = 0; i < 10; ++i) {
-    x.At(i, 0) = 1.0;
-    // One extreme-weight bad label vs nine good unit-weight labels.
-    pls.push_back(i == 0 ? Pl(-50.0, 1e6) : Pl(2.0, 1.0));
-  }
-  AdaptationTrainConfig cfg = FastConfig();
-  cfg.beta_clamp = 1.0;
-  AdaptationTrainer trainer(cfg);
-  auto result = trainer.Run(*source, x, pls, Tensor(), Tensor(), &rng);
-  Tensor pred = result.model->Forward(Tensor({1, 1}, {1.0}), false);
-  // With the clamp the bad label is just 1 of 10 votes, so the model lands
-  // near the weighted mean (-3.2), far from -50.
-  EXPECT_GT(pred.At(0, 0), -8.0);
-}
-
 TEST(AdaptationTrainerTest, ConfidentReplayIncluded) {
   Rng rng(5);
   auto source = LinearModel(&rng);

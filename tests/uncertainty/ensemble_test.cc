@@ -78,19 +78,34 @@ TEST(SourceEnsembleTest, PredictIsByteIdenticalAtAnyThreadCount) {
 
 TEST(SourceEnsembleTest, SteadyStatePredictAllocatesNothing) {
   // Member k's pass runs on a Workspace arena fixed by k, whichever
-  // worker takes it (docs/MEMORY.md): once warm, Predict must not
-  // allocate a single tensor buffer.
-  Rng rng(35);
-  auto model = DropoutModel(&rng);
-  DeepEnsemble ensemble = DeepEnsemble::FromSource(model.get(), 5, 0x5eed);
-  Tensor x = Tensor::RandomNormal({32, 2}, &rng);
-  for (int warm = 0; warm < 3; ++warm) (void)ensemble.Predict(x);
-  const TensorAllocStats before = GetTensorAllocStats();
-  auto preds = ensemble.Predict(x);
-  const TensorAllocStats after = GetTensorAllocStats();
-  EXPECT_EQ(after.alloc_count, before.alloc_count);
-  EXPECT_GT(after.workspace_reuses, before.workspace_reuses);
-  ASSERT_EQ(preds.size(), 32u);
+  // worker takes it, and the trunk's run r of slices on a Workspace fixed
+  // by r (docs/MEMORY.md): once warm, Predict must not allocate a single
+  // tensor buffer at any pool width, on one slice (32 rows at the default
+  // batch) or on three (19 rows at batch 8).
+  struct Shape {
+    size_t rows;
+    size_t batch;
+  };
+  for (size_t threads : {1, 2, 4, 8}) {
+    SetNumThreads(threads);
+    Rng rng(35);
+    auto model = DropoutModel(&rng);
+    for (const Shape shape : {Shape{32, 64}, Shape{19, 8}}) {
+      DeepEnsemble ensemble =
+          DeepEnsemble::FromSource(model.get(), 5, 0x5eed, shape.batch);
+      Tensor x = Tensor::RandomNormal({shape.rows, 2}, &rng);
+      for (int warm = 0; warm < 3; ++warm) (void)ensemble.Predict(x);
+      const TensorAllocStats before = GetTensorAllocStats();
+      for (int call = 0; call < 5; ++call) {
+        ASSERT_EQ(ensemble.Predict(x).size(), shape.rows);
+      }
+      const TensorAllocStats after = GetTensorAllocStats();
+      EXPECT_EQ(after.alloc_count, before.alloc_count)
+          << shape.rows << " rows at " << threads << " threads";
+      EXPECT_GT(after.workspace_reuses, before.workspace_reuses);
+    }
+  }
+  SetNumThreads(0);
 }
 
 TEST(SourceEnsembleTest, TrunkReuseMatchesFullPasses) {

@@ -315,7 +315,7 @@ TEST(McDropoutTest, SteadyStatePredictAllocatesNothing) {
   // trunk's run r of slices on a Workspace fixed by r (docs/MEMORY.md):
   // once warm, Predict allocates no tensor buffer, however the pool hands
   // the runs and passes to workers.
-  for (size_t threads : {1, 2, 8}) {
+  for (size_t threads : {1, 2, 4, 8}) {
     SetNumThreads(threads);
     Rng rng(42);
     for (const auto& make :

@@ -1,18 +1,21 @@
 #!/usr/bin/env sh
-# Assembles BENCH_PR9.json, the record of the float32 SIMD kernel backend
-# (docs/MEMORY.md §"Float32 compute mode"): real_time (ns) for the double
-# and f32 variants of the MatMul thread sweep and the MC-dropout Predict
-# sweep, plus the kernel-dispatch overhead micros. Both variants come from
-# the SAME run of each binary, so the recorded speedups are same-machine,
-# same-build ratios, not cross-run noise.
+# The f32 speedup gate of the float32 SIMD kernel backend (docs/MEMORY.md
+# §"Float32 compute mode"; docs/BENCHMARKING.md). Writes OUT, a JSON report
+# of real_time (ns) for the double and f32 variants of the MatMul thread
+# sweep and the MC-dropout Predict sweep, plus the kernel-dispatch overhead
+# micros, and fails if the single-thread speedups fall below their targets
+# (MatMul >= 4x, MC-dropout Predict >= 2.5x). Both variants come from the
+# SAME run of each binary, so the speedups are same-machine, same-build
+# ratios, not cross-run noise.
 #
 # Usage:
 #   tools/make_bench_pr9.sh CORE_JSON NN_JSON OBS_JSON OUT
 #
 # where the three inputs are fresh --benchmark_format=json runs of
-# bench_micro_core, bench_micro_nn, and bench_micro_obs. Fails if any
-# benchmark in any input reported an error — benchmark errors must fail
-# the build, not silently produce a partial record.
+# bench_micro_core, bench_micro_nn, and bench_micro_obs (the CI `bench` job
+# writes all four files under bench_out/). Fails if any benchmark in any
+# input reported an error — benchmark errors must fail the build, not
+# silently produce a partial report.
 set -eu
 
 if [ "$#" -ne 4 ]; then
@@ -66,14 +69,13 @@ jq -n \
       mc_dropout_f32_vs_double:
         speedup($core[0]; "BM_McDropoutPredictThreads/20/1/real_time";
                           "BM_McDropoutPredictF32Threads/20/1/real_time"),
-      targets: {matmul_f32_vs_double: 4.0, mc_dropout_f32_vs_double: 2.5},
-      note: "PR 5 recorded BM_McDropoutPredictThreads/20/1 as its headline; the f32 ratio here is measured against that same double-path row from the same run."
+      targets: {matmul_f32_vs_double: 4.0, mc_dropout_f32_vs_double: 2.5}
     }
   }' > "$4"
 
 echo "wrote $4 (matmul x$(jq -r '.headline.matmul_f32_vs_double' "$4"), mc-dropout x$(jq -r '.headline.mc_dropout_f32_vs_double' "$4"))"
 
-# The acceptance targets are part of the record: fail if the measured
+# The acceptance targets are part of the report: fail if the measured
 # ratios regressed below them.
 jq -e '.headline.matmul_f32_vs_double >= .headline.targets.matmul_f32_vs_double
        and .headline.mc_dropout_f32_vs_double

@@ -11,14 +11,20 @@
 //   TASFAR_SERVE_MAX_SESSIONS   session cap (default 64)
 //   TASFAR_SERVE_SESSION_BUDGET_MB  default per-session budget (default 64)
 //   TASFAR_SERVE_WRITE_TIMEOUT_MS   per-send stall bound (default 5000)
+//
+// Every number, flag or variable, must be a whole unsigned decimal within
+// its range (docs/SERVING.md); anything else exits with code 2 before the
+// model loads or trains.
 
 #include <poll.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/calibration_io.h"
@@ -26,7 +32,9 @@
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "serve/demo.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -35,14 +43,40 @@ volatile std::sig_atomic_t g_shutdown = 0;
 
 void HandleSignal(int) { g_shutdown = 1; }
 
-size_t EnvSizeOr(const char* var, size_t fallback) {
+// `text`, the value of flag or variable `name`, as an integer in
+// [lo, hi]; anything else exits with code 2, naming `name` and the range.
+uint64_t ParseOrExit(const char* name, const char* text, uint64_t lo,
+                     uint64_t hi) {
+  const std::optional<uint64_t> value = tasfar::ParseUnsigned(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr,
+                 "tasfar_served: %s must be a whole number in [%llu, %llu], "
+                 "got \"%s\"\n",
+                 name, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+  }
+  return *value;
+}
+
+// Environment variable `var` through ParseOrExit; unset or empty gives
+// `fallback`.
+uint64_t EnvOr(const char* var, uint64_t fallback, uint64_t lo,
+               uint64_t hi) {
   const char* v = std::getenv(var);
   if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<size_t>(parsed);
+  return ParseOrExit(var, v, lo, hi);
 }
+
+// A row of more features than this could never fit one Submit or Predict
+// frame (docs/PROTOCOL.md).
+constexpr uint64_t kMaxInputDim =
+    tasfar::serve::kMaxPayloadBytes / sizeof(double);
+// Sanity caps: a million tenants, a TiB per session (so the MiB → bytes
+// product cannot wrap), and an hour-long send stall.
+constexpr uint64_t kMaxSessions = 1u << 20;
+constexpr uint64_t kMaxSessionBudgetMb = 1u << 20;
+constexpr uint64_t kMaxWriteTimeoutMs = 3600u * 1000u;
 
 void Usage() {
   std::fprintf(
@@ -61,7 +95,7 @@ int main(int argc, char** argv) {
   bool oneshot = false;
   std::string weights_path, calib_path, port_file;
   size_t input_dim = 0;
-  long port_flag = -1;
+  const char* port_flag = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -80,10 +114,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--calib") {
       calib_path = next("--calib");
     } else if (arg == "--input-dim") {
-      input_dim = static_cast<size_t>(std::strtoul(next("--input-dim"),
-                                                   nullptr, 10));
+      input_dim = static_cast<size_t>(
+          ParseOrExit("--input-dim", next("--input-dim"), 1, kMaxInputDim));
     } else if (arg == "--port") {
-      port_flag = std::strtol(next("--port"), nullptr, 10);
+      port_flag = next("--port");
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else {
@@ -96,6 +130,20 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
+
+  // --- Server configuration (checked before any model work) -----------
+  ServerConfig config;
+  config.port = static_cast<uint16_t>(
+      port_flag != nullptr
+          ? ParseOrExit("--port", port_flag, 0, 65535)
+          : EnvOr("TASFAR_SERVE_PORT", 0, 0, 65535));
+  config.manager.max_sessions = static_cast<size_t>(
+      EnvOr("TASFAR_SERVE_MAX_SESSIONS", 64, 1, kMaxSessions));
+  config.manager.default_budget_bytes = static_cast<size_t>(
+      EnvOr("TASFAR_SERVE_SESSION_BUDGET_MB", 64, 1, kMaxSessionBudgetMb) *
+      1024 * 1024);
+  config.write_timeout_ms = static_cast<uint32_t>(
+      EnvOr("TASFAR_SERVE_WRITE_TIMEOUT_MS", 5000, 0, kMaxWriteTimeoutMs));
 
   obs::SetMetricsEnabled(true);
 
@@ -146,15 +194,6 @@ int main(int argc, char** argv) {
   }
 
   // --- Server -----------------------------------------------------------
-  ServerConfig config;
-  config.port = static_cast<uint16_t>(
-      port_flag >= 0 ? port_flag : EnvSizeOr("TASFAR_SERVE_PORT", 0));
-  config.manager.max_sessions = EnvSizeOr("TASFAR_SERVE_MAX_SESSIONS", 64);
-  config.manager.default_budget_bytes =
-      EnvSizeOr("TASFAR_SERVE_SESSION_BUDGET_MB", 64) * 1024 * 1024;
-  config.write_timeout_ms = static_cast<uint32_t>(
-      EnvSizeOr("TASFAR_SERVE_WRITE_TIMEOUT_MS", 5000));
-
   Server server(model.get(), &calibration, options, config);
   if (demo) {
     server.RegisterBackendCalibration(UncertaintyBackend::kDeepEnsemble,
