@@ -1,7 +1,6 @@
 #include "nn/activations.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "tensor/simd/dispatch.h"
 #include "tensor/workspace.h"
@@ -32,37 +31,6 @@ void Relu::ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
   TASFAR_CHECK(out != nullptr && out != &in);
   out->Resize(in.rows(), in.cols());
   simd::Kernels().relu(in.data(), out->data(), in.size());
-}
-
-LeakyRelu::LeakyRelu(double negative_slope)
-    : negative_slope_(negative_slope) {
-  TASFAR_CHECK(negative_slope >= 0.0);
-}
-
-Tensor LeakyRelu::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
-  const double s = negative_slope_;
-  Tensor out = Workspace::ThreadLocal().NewTensor(input.shape());
-  ApplyInto(input, [s](double x) { return x > 0.0 ? x : s * x; }, &out);
-  return out;
-}
-
-Tensor LeakyRelu::Backward(const Tensor& grad_output) {
-  TASFAR_CHECK(grad_output.SameShape(cached_input_));
-  Tensor grad = Workspace::ThreadLocal().NewTensor(grad_output.shape());
-  const double* in = cached_input_.data();
-  const double* go = grad_output.data();
-  double* g = grad.data();
-  for (size_t i = 0; i < grad.size(); ++i) {
-    g[i] = in[i] <= 0.0 ? go[i] * negative_slope_ : go[i];
-  }
-  return grad;
-}
-
-std::string LeakyRelu::Name() const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "LeakyRelu(%.3g)", negative_slope_);
-  return buf;
 }
 
 Tensor Tanh::Forward(const Tensor& input, bool /*training*/) {

@@ -25,25 +25,6 @@ class Relu : public Layer {
   Tensor cached_input_;
 };
 
-/// Leaky ReLU with configurable negative slope (default 0.01).
-class LeakyRelu : public Layer {
- public:
-  explicit LeakyRelu(double negative_slope = 0.01);
-
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<LeakyRelu>(negative_slope_);
-  }
-  std::string Name() const override;
-
-  double negative_slope() const { return negative_slope_; }
-
- private:
-  double negative_slope_;
-  Tensor cached_input_;
-};
-
 /// Hyperbolic tangent activation.
 class Tanh : public Layer {
  public:

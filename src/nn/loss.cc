@@ -66,60 +66,6 @@ double Mse(const Tensor& pred, const Tensor& target, Tensor* grad,
   return GuardLoss(total * inv_batch, grad);
 }
 
-double Mae(const Tensor& pred, const Tensor& target, Tensor* grad,
-           const std::vector<double>* weights) {
-  CheckShapes(pred, target, weights);
-  const size_t batch = pred.dim(0), dims = pred.dim(1);
-  const double inv_batch = 1.0 / static_cast<double>(batch);
-  if (grad != nullptr) {
-    // Every element is assigned below.
-    *grad = Workspace::ThreadLocal().NewTensor(pred.shape());
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < batch; ++i) {
-    const double w = WeightOf(weights, i);
-    for (size_t j = 0; j < dims; ++j) {
-      const double d = pred.At(i, j) - target.At(i, j);
-      total += w * std::fabs(d);
-      if (grad != nullptr) {
-        grad->At(i, j) = w * (d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0)) *
-                         inv_batch;
-      }
-    }
-  }
-  return GuardLoss(total * inv_batch, grad);
-}
-
-double Huber(const Tensor& pred, const Tensor& target, double delta,
-             Tensor* grad, const std::vector<double>* weights) {
-  TASFAR_CHECK(delta > 0.0);
-  CheckShapes(pred, target, weights);
-  const size_t batch = pred.dim(0), dims = pred.dim(1);
-  const double inv_batch = 1.0 / static_cast<double>(batch);
-  if (grad != nullptr) {
-    // Every element is assigned below.
-    *grad = Workspace::ThreadLocal().NewTensor(pred.shape());
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < batch; ++i) {
-    const double w = WeightOf(weights, i);
-    for (size_t j = 0; j < dims; ++j) {
-      const double d = pred.At(i, j) - target.At(i, j);
-      const double ad = std::fabs(d);
-      if (ad <= delta) {
-        total += w * 0.5 * d * d;
-        if (grad != nullptr) grad->At(i, j) = w * d * inv_batch;
-      } else {
-        total += w * delta * (ad - 0.5 * delta);
-        if (grad != nullptr) {
-          grad->At(i, j) = w * delta * (d > 0.0 ? 1.0 : -1.0) * inv_batch;
-        }
-      }
-    }
-  }
-  return GuardLoss(total * inv_batch, grad);
-}
-
 double BinaryCrossEntropy(const Tensor& prob, const Tensor& target,
                           Tensor* grad) {
   TASFAR_CHECK(prob.rank() == 2 && prob.SameShape(target));

@@ -21,15 +21,6 @@ namespace loss {
 double Mse(const Tensor& pred, const Tensor& target, Tensor* grad = nullptr,
            const std::vector<double>* weights = nullptr);
 
-/// Mean absolute error (L1).
-double Mae(const Tensor& pred, const Tensor& target, Tensor* grad = nullptr,
-           const std::vector<double>* weights = nullptr);
-
-/// Huber loss with threshold `delta`.
-double Huber(const Tensor& pred, const Tensor& target, double delta,
-             Tensor* grad = nullptr,
-             const std::vector<double>* weights = nullptr);
-
 /// Binary cross-entropy on sigmoid probabilities in (0,1), used by the
 /// domain discriminator of the adversarial UDA baseline. `target` entries
 /// must be 0 or 1.

@@ -33,6 +33,27 @@ KernelBackend DefaultBackend() {
   return KernelBackend::kScalar;
 }
 
+/// Applies a TASFAR_KERNEL_BACKEND value to `config`: "double" selects
+/// ComputeMode::kDouble and keeps the backend; a backend name selects it
+/// and ComputeMode::kF32; an unknown or unavailable value aborts. It
+/// stores into `config` directly because Config()'s one-time initializer
+/// calls it, and SetKernelBackend would re-enter Config() there.
+void ApplyBackendValue(const char* value, KernelConfig& config) {
+  KernelBackend parsed = KernelBackend::kScalar;
+  TASFAR_CHECK_MSG(internal::ParseBackendName(value, &parsed),
+                   "unknown TASFAR_KERNEL_BACKEND value (expected "
+                   "avx2|neon|scalar|double)");
+  if (parsed == KernelBackend::kDouble) {
+    config.mode.store(ComputeMode::kDouble, std::memory_order_relaxed);
+    return;
+  }
+  TASFAR_CHECK_MSG(BackendAvailable(parsed),
+                   "TASFAR_KERNEL_BACKEND names a backend that is not "
+                   "available on this CPU/build");
+  config.backend.store(parsed, std::memory_order_relaxed);
+  config.mode.store(ComputeMode::kF32, std::memory_order_relaxed);
+}
+
 KernelConfig& Config() {
   // Initialized once, on first use: cpuid picks the backend, the mode
   // stays double unless TASFAR_KERNEL_BACKEND says otherwise. Tests
@@ -45,18 +66,7 @@ KernelConfig& Config() {
     config.mode.store(ComputeMode::kDouble, std::memory_order_relaxed);
     if (const char* env = std::getenv("TASFAR_KERNEL_BACKEND");
         env != nullptr && env[0] != '\0') {
-      KernelBackend parsed = KernelBackend::kScalar;
-      TASFAR_CHECK_MSG(
-          internal::ParseBackendName(env, &parsed),
-          "unknown TASFAR_KERNEL_BACKEND value (expected "
-          "avx2|neon|scalar|double)");
-      if (parsed != KernelBackend::kDouble) {
-        TASFAR_CHECK_MSG(BackendAvailable(parsed),
-                         "TASFAR_KERNEL_BACKEND names a backend that is "
-                         "not available on this CPU/build");
-        config.backend.store(parsed, std::memory_order_relaxed);
-        config.mode.store(ComputeMode::kF32, std::memory_order_relaxed);
-      }
+      ApplyBackendValue(env, config);
     }
     return true;
   }();
@@ -244,19 +254,7 @@ bool ParseBackendName(const std::string& value, KernelBackend* out) {
 
 void ApplyEnvOverride(const char* value) {
   TASFAR_CHECK(value != nullptr);
-  KernelBackend parsed = KernelBackend::kScalar;
-  TASFAR_CHECK_MSG(ParseBackendName(value, &parsed),
-                   "unknown TASFAR_KERNEL_BACKEND value (expected "
-                   "avx2|neon|scalar|double)");
-  if (parsed == KernelBackend::kDouble) {
-    SetComputeMode(ComputeMode::kDouble);
-    return;
-  }
-  TASFAR_CHECK_MSG(BackendAvailable(parsed),
-                   "TASFAR_KERNEL_BACKEND names a backend that is not "
-                   "available on this CPU/build");
-  SetKernelBackend(parsed);
-  SetComputeMode(ComputeMode::kF32);
+  ApplyBackendValue(value, Config());
 }
 
 }  // namespace internal

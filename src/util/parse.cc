@@ -1,5 +1,7 @@
 #include "util/parse.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace tasfar {
@@ -17,6 +19,21 @@ std::optional<uint64_t> ParseUnsigned(std::string_view text, uint64_t lo,
   }
   if (value < lo || value > hi) return std::nullopt;
   return value;
+}
+
+uint64_t ParseOrExit(const char* program, const char* name,
+                     std::string_view text, uint64_t lo, uint64_t hi) {
+  const std::optional<uint64_t> value = ParseUnsigned(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr,
+                 "%s: %s must be a whole number in [%llu, %llu], got "
+                 "\"%.*s\"\n",
+                 program, name, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi),
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return *value;
 }
 
 }  // namespace tasfar

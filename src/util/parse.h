@@ -17,6 +17,13 @@ namespace tasfar {
 std::optional<uint64_t> ParseUnsigned(std::string_view text, uint64_t lo,
                                       uint64_t hi);
 
+/// ParseUnsigned for a command-line tool: `text`, the value of flag or
+/// environment variable `name`, as an integer in [lo, hi]. Anything else
+/// prints `<program>: <name> must be a whole number in [lo, hi], got
+/// "<text>"` to stderr and exits the process with code 2.
+uint64_t ParseOrExit(const char* program, const char* name,
+                     std::string_view text, uint64_t lo, uint64_t hi);
+
 }  // namespace tasfar
 
 #endif  // TASFAR_UTIL_PARSE_H_

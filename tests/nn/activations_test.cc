@@ -27,26 +27,6 @@ TEST(ReluTest, BackwardMasksNegatives) {
   EXPECT_DOUBLE_EQ(g[2], 1.0);
 }
 
-TEST(LeakyReluTest, NegativeSlopeApplied) {
-  LeakyRelu lr(0.1);
-  Tensor x({1, 2}, {-10.0, 10.0});
-  Tensor y = lr.Forward(x, false);
-  EXPECT_DOUBLE_EQ(y[0], -1.0);
-  EXPECT_DOUBLE_EQ(y[1], 10.0);
-}
-
-TEST(LeakyReluTest, BackwardScalesNegativeSide) {
-  LeakyRelu lr(0.2);
-  lr.Forward(Tensor({1, 2}, {-1.0, 1.0}), true);
-  Tensor g = lr.Backward(Tensor({1, 2}, {5.0, 5.0}));
-  EXPECT_DOUBLE_EQ(g[0], 1.0);
-  EXPECT_DOUBLE_EQ(g[1], 5.0);
-}
-
-TEST(LeakyReluTest, NameIncludesSlope) {
-  EXPECT_EQ(LeakyRelu(0.01).Name(), "LeakyRelu(0.01)");
-}
-
 TEST(TanhTest, ForwardMatchesStd) {
   Tanh tanh_layer;
   Tensor x({1, 3}, {-1.0, 0.0, 2.0});

@@ -18,13 +18,6 @@ LossFn MseLoss() {
             const std::vector<double>* w) { return loss::Mse(p, t, g, w); };
 }
 
-LossFn HuberLoss() {
-  return [](const Tensor& p, const Tensor& t, Tensor* g,
-            const std::vector<double>* w) {
-    return loss::Huber(p, t, 1.0, g, w);
-  };
-}
-
 TEST(GradientCheckTest, DenseMlp) {
   Rng rng(1);
   Sequential model;
@@ -104,17 +97,6 @@ TEST(GradientCheckTest, MultiColumnTopology) {
   Tensor x = Tensor::RandomNormal({3, 3}, &rng);
   Tensor y = Tensor::RandomNormal({3, 1}, &rng);
   EXPECT_LT(CheckGradients(&model, x, y, MseLoss()).max_rel_error, 1e-4);
-}
-
-TEST(GradientCheckTest, HuberLossGradients) {
-  Rng rng(7);
-  Sequential model;
-  model.Emplace<Dense>(2, 3, &rng);
-  model.Emplace<Tanh>();
-  model.Emplace<Dense>(3, 1, &rng);
-  Tensor x = Tensor::RandomNormal({4, 2}, &rng);
-  Tensor y = Tensor::RandomNormal({4, 1}, &rng);
-  EXPECT_LT(CheckGradients(&model, x, y, HuberLoss()).max_rel_error, 1e-4);
 }
 
 TEST(GradientCheckTest, ReportsCheckedCount) {

@@ -56,58 +56,6 @@ TEST(MseLossTest, ZeroWeightZeroGradient) {
   EXPECT_DOUBLE_EQ(grad[0], 0.0);
 }
 
-TEST(MaeLossTest, KnownValue) {
-  Tensor p({2, 1}, {1.0, -3.0});
-  Tensor t({2, 1}, {0.0, 0.0});
-  EXPECT_DOUBLE_EQ(loss::Mae(p, t), 2.0);
-}
-
-TEST(MaeLossTest, GradientIsSign) {
-  Tensor p({1, 3}, {2.0, -2.0, 0.0});
-  Tensor t({1, 3}, {0.0, 0.0, 0.0});
-  Tensor grad;
-  loss::Mae(p, t, &grad);
-  EXPECT_DOUBLE_EQ(grad[0], 1.0);
-  EXPECT_DOUBLE_EQ(grad[1], -1.0);
-  EXPECT_DOUBLE_EQ(grad[2], 0.0);
-}
-
-TEST(MaeLossTest, WeightedMeanOverBatch) {
-  Tensor p({2, 1}, {1.0, 1.0});
-  Tensor t({2, 1}, {0.0, 0.0});
-  std::vector<double> w{3.0, 1.0};
-  EXPECT_DOUBLE_EQ(loss::Mae(p, t, nullptr, &w), 2.0);
-}
-
-TEST(HuberLossTest, QuadraticInsideDelta) {
-  Tensor p({1, 1}, {0.5});
-  Tensor t({1, 1}, {0.0});
-  EXPECT_DOUBLE_EQ(loss::Huber(p, t, 1.0), 0.125);
-}
-
-TEST(HuberLossTest, LinearOutsideDelta) {
-  Tensor p({1, 1}, {3.0});
-  Tensor t({1, 1}, {0.0});
-  // delta*(|d| - delta/2) = 1*(3 - 0.5) = 2.5.
-  EXPECT_DOUBLE_EQ(loss::Huber(p, t, 1.0), 2.5);
-}
-
-TEST(HuberLossTest, GradientMatchesFiniteDifference) {
-  Tensor p({2, 1}, {0.3, 4.0});
-  Tensor t({2, 1}, {0.0, 0.0});
-  Tensor grad;
-  loss::Huber(p, t, 1.0, &grad);
-  const double eps = 1e-6;
-  for (size_t i = 0; i < p.size(); ++i) {
-    Tensor pp = p, pm = p;
-    pp[i] += eps;
-    pm[i] -= eps;
-    const double numeric =
-        (loss::Huber(pp, t, 1.0) - loss::Huber(pm, t, 1.0)) / (2.0 * eps);
-    EXPECT_NEAR(grad[i], numeric, 1e-6);
-  }
-}
-
 TEST(BceLossTest, ConfidentCorrectIsNearZero) {
   Tensor p({1, 1}, {0.999999});
   Tensor t({1, 1}, {1.0});

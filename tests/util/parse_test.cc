@@ -52,5 +52,15 @@ TEST(ParseUnsignedTest, ThreadCountRangeRejectsWrapsAndRunaways) {
   }
 }
 
+TEST(ParseOrExitDeathTest, ExitsTwoNamingProgramFlagAndRange) {
+  EXPECT_EQ(ParseOrExit("tool", "--port", "80", 1, 65535), 80u);
+  EXPECT_EXIT(ParseOrExit("tool", "--port", "70000", 1, 65535),
+              ::testing::ExitedWithCode(2),
+              "tool: --port must be a whole number in \\[1, 65535\\], "
+              "got \"70000\"");
+  EXPECT_EXIT(ParseOrExit("tool", "ROWS", "-1", 1, 1000000),
+              ::testing::ExitedWithCode(2), "ROWS must be a whole number");
+}
+
 }  // namespace
 }  // namespace tasfar

@@ -1,16 +1,12 @@
 #include "engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
-#include "lexer.h"
 #include "obs/metrics.h"
 #include "rules.h"
-#include "util/thread_pool.h"
 
 namespace tasfar::analyze {
 
@@ -25,15 +21,6 @@ bool ReadFile(const fs::path& path, std::string* out) {
   buf << in.rdbuf();
   *out = buf.str();
   return true;
-}
-
-/// Cache entry file for a repo-relative source path: slashes become '_'
-/// so every entry lives flat in the cache directory.
-fs::path CacheEntry(const std::string& cache_dir,
-                    const std::string& rel_path) {
-  std::string name = rel_path;
-  std::replace(name.begin(), name.end(), '/', '_');
-  return fs::path(cache_dir) / (name + ".facts");
 }
 
 /// Sorted repo-relative paths of every .h/.cc/.cpp file under the source
@@ -73,19 +60,15 @@ std::vector<std::string> DiscoverSources(const fs::path& root,
   return rel;
 }
 
-/// Marks findings covered by a TASFAR_ANALYZE_ALLOW on the same line or
-/// the line above. Registry findings anchored in docs cannot be
-/// suppressed — the docs are the fix.
-void ApplySuppressions(const std::vector<Suppression>& sups,
-                       std::vector<Finding>* findings) {
-  for (Finding& f : *findings) {
-    for (const Suppression& s : sups) {
-      if (s.rule != f.rule) continue;
-      if (s.line == f.line || s.line == f.line - 1) {
-        f.suppressed = true;
-        f.suppress_reason = s.reason;
-        break;
-      }
+/// Marks `f` suppressed when a TASFAR_ANALYZE_ALLOW of its rule sits on
+/// the same line or the line above. Registry findings anchored in docs
+/// cannot be suppressed — the docs are the fix.
+void ApplySuppressions(const std::vector<Suppression>& sups, Finding* f) {
+  for (const Suppression& s : sups) {
+    if (s.rule == f->rule && (s.line == f->line || s.line == f->line - 1)) {
+      f->suppressed = true;
+      f->suppress_reason = s.reason;
+      return;
     }
   }
 }
@@ -104,76 +87,19 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
     return result;
   }
 
-  const bool use_cache = !options.cache_dir.empty();
-  if (use_cache) {
-    std::error_code ec;
-    fs::create_directories(options.cache_dir, ec);
-  }
-
-  // Per-file scans run in parallel: each index touches only its own slot
-  // and its own cache entry file.
-  std::vector<FileFacts> facts(sources.size());
-  std::vector<char> failed(sources.size(), 0);
-  std::atomic<int> hits{0};
-  std::atomic<int> misses{0};
-  ParallelFor(0, sources.size(), 1, [&](size_t i) {
+  std::vector<FileFacts> facts;
+  facts.reserve(sources.size());
+  for (const std::string& rel : sources) {
     std::string content;
-    if (!ReadFile(root / sources[i], &content)) {
-      failed[i] = 1;
-      return;
-    }
-    const uint64_t hash = HashContent(content);
-    if (use_cache) {
-      std::string cached;
-      FileFacts parsed;
-      if (ReadFile(CacheEntry(options.cache_dir, sources[i]), &cached) &&
-          ParseFacts(cached, &parsed) && parsed.content_hash == hash &&
-          parsed.path == sources[i]) {
-        facts[i] = std::move(parsed);
-        hits.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    facts[i] = AnalyzeSource(sources[i], content);
-    misses.fetch_add(1, std::memory_order_relaxed);
-    if (use_cache) {
-      std::ofstream out(CacheEntry(options.cache_dir, sources[i]),
-                        std::ios::binary | std::ios::trunc);
-      out << SerializeFacts(facts[i]);
-    }
-  });
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (failed[i] != 0) {
+    if (!ReadFile(root / rel, &content)) {
       result.io_error = true;
-      result.error = "cannot read " + sources[i];
+      result.error = "cannot read " + rel;
       return result;
     }
+    facts.push_back(AnalyzeSource(rel, content));
   }
   result.files_scanned = static_cast<int>(sources.size());
-  result.cache_hits = hits.load();
-  result.cache_misses = misses.load();
-  if (use_cache) {
-    // Entries of deleted or renamed files: lookups go by path, so nothing
-    // would read them again; drop them so the cache holds what was scanned.
-    std::set<std::string> live;
-    for (const std::string& rel : sources) {
-      live.insert(CacheEntry(options.cache_dir, rel).filename().string());
-    }
-    std::vector<fs::path> stale;
-    std::error_code ec;
-    for (fs::directory_iterator it(options.cache_dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      const fs::path& entry = it->path();
-      if (entry.extension() == ".facts" &&
-          live.count(entry.filename().string()) == 0) {
-        stale.push_back(entry);
-      }
-    }
-    for (const fs::path& entry : stale) fs::remove(entry, ec);
-  }
 
-  // Docs are read fresh every run: they are few, cheap to scan, and the
-  // cross-checks must see edits immediately.
   DocNames docs;
   for (const std::string& doc : ScannedDocs()) {
     std::string content;
@@ -188,10 +114,9 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
   std::vector<Finding> whole_program = CheckWholeProgram(facts, docs);
 
   std::vector<Finding> all;
-  for (FileFacts& f : facts) {
-    std::vector<Finding> file_findings = f.findings;  // cache holds raw
-    ApplySuppressions(f.suppressions, &file_findings);
-    all.insert(all.end(), file_findings.begin(), file_findings.end());
+  for (FileFacts& ff : facts) {
+    for (Finding& f : ff.findings) ApplySuppressions(ff.suppressions, &f);
+    all.insert(all.end(), ff.findings.begin(), ff.findings.end());
   }
   // Whole-program findings anchored at a source line can be suppressed
   // there (a doc-anchored finding has no comment grammar to carry the
@@ -199,9 +124,7 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
   for (Finding& f : whole_program) {
     for (const FileFacts& ff : facts) {
       if (ff.path != f.file) continue;
-      std::vector<Finding> one = {f};
-      ApplySuppressions(ff.suppressions, &one);
-      f = one[0];
+      ApplySuppressions(ff.suppressions, &f);
       break;
     }
   }
@@ -221,7 +144,6 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
     }
   }
   result.findings = std::move(all);
-  result.facts = std::move(facts);
 
   obs::Registry& reg = obs::Registry::Get();
   reg.GetCounter("tasfar.analyze.files")->Increment(
@@ -230,10 +152,6 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
       static_cast<uint64_t>(result.unsuppressed));
   reg.GetCounter("tasfar.analyze.suppressed")->Increment(
       static_cast<uint64_t>(result.suppressed));
-  reg.GetCounter("tasfar.analyze.cache_hits")->Increment(
-      static_cast<uint64_t>(result.cache_hits));
-  reg.GetCounter("tasfar.analyze.cache_misses")->Increment(
-      static_cast<uint64_t>(result.cache_misses));
   return result;
 }
 

@@ -11,34 +11,24 @@ namespace tasfar::analyze {
 struct AnalyzeOptions {
   /// Repo root; the source roots and `docs/` are resolved under it.
   std::string repo_root;
-  /// Incremental-cache directory; empty disables the cache. The engine
-  /// creates it on demand; entries are one serialized FileFacts per file,
-  /// keyed by path and validated by content hash + schema version. After
-  /// each scan the entries of files that were not scanned are deleted.
-  std::string cache_dir;
 };
 
 struct AnalyzeResult {
   /// All findings (suppressed ones included), sorted by file/line/rule.
   std::vector<Finding> findings;
-  /// Per-file facts for every scanned source file, sorted by path.
-  std::vector<FileFacts> facts;
   int files_scanned = 0;
-  int cache_hits = 0;
-  int cache_misses = 0;
   int unsuppressed = 0;
   int suppressed = 0;
   bool io_error = false;
   std::string error;
 };
 
-/// Runs the analysis: scans every .h/.cc/.cpp file under src/, tests/,
-/// bench/, examples/ and tools/ (skipping `build*` and dot directories) in
-/// parallel on the global ThreadPool, with per-file facts through the
-/// incremental cache; reads ScannedDocs() fresh; runs the whole-program
-/// pass over the facts and docs; applies TASFAR_ANALYZE_ALLOW
-/// suppressions; and bumps the tasfar.analyze.* metrics. A missing
-/// source root or doc is an I/O error.
+/// Runs the analysis: reads, lexes and checks every .h/.cc/.cpp file under
+/// src/, tests/, bench/, examples/ and tools/ (skipping `build*` and dot
+/// directories) in one serial pass; reads ScannedDocs(); runs the
+/// whole-program pass over the facts and docs; applies
+/// TASFAR_ANALYZE_ALLOW suppressions; and bumps the tasfar.analyze.*
+/// metrics. A missing source root or doc is an I/O error.
 AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options);
 
 }  // namespace tasfar::analyze

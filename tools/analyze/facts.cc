@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <sstream>
 
 #include "lexer.h"
 #include "rules.h"
@@ -218,47 +217,12 @@ void ExtractSymbols(const std::vector<Token>& code, FileFacts* facts) {
   }
 }
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '\\': *out += "\\\\"; break;
-      case '\t': *out += "\\t"; break;
-      case '\n': *out += "\\n"; break;
-      default: *out += c;
-    }
-  }
-}
-
-bool SplitEscaped(const std::string& line, std::vector<std::string>* fields) {
-  fields->clear();
-  std::string cur;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\') {
-      if (i + 1 >= line.size()) return false;
-      const char e = line[++i];
-      if (e == '\\') cur += '\\';
-      else if (e == 't') cur += '\t';
-      else if (e == 'n') cur += '\n';
-      else return false;
-    } else if (c == '\t') {
-      fields->push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  fields->push_back(cur);
-  return true;
-}
-
 }  // namespace
 
 FileFacts AnalyzeSource(const std::string& repo_rel_path,
                         const std::string& source) {
   FileFacts facts;
   facts.path = repo_rel_path;
-  facts.content_hash = HashContent(source);
 
   const std::vector<Token> tokens = Lex(source);
   for (const Token& t : tokens) {
@@ -297,123 +261,6 @@ FileFacts AnalyzeSource(const std::string& repo_rel_path,
                      return a.line < b.line;
                    });
   return facts;
-}
-
-std::string SerializeFacts(const FileFacts& facts) {
-  std::ostringstream out;
-  out << "tasfar-analyze-facts\tv" << kFactsSchemaVersion << "\n";
-  out << "path\t";
-  {
-    std::string esc;
-    AppendEscaped(facts.path, &esc);
-    out << esc << "\n";
-  }
-  out << "hash\t" << facts.content_hash << "\n";
-  auto emit_refs = [&](const char* tag, const std::vector<NameRef>& refs) {
-    for (const NameRef& r : refs) {
-      std::string esc;
-      AppendEscaped(r.name, &esc);
-      out << tag << "\t" << r.line << "\t" << esc << "\n";
-    }
-  };
-  emit_refs("metric", facts.metrics);
-  for (const std::string& p : facts.metric_prefixes) {
-    std::string esc;
-    AppendEscaped(p, &esc);
-    out << "metric_prefix\t" << esc << "\n";
-  }
-  emit_refs("span", facts.spans);
-  emit_refs("failpoint", facts.failpoints);
-  for (const Enumerator& e : facts.enumerators) {
-    out << "enum\t" << e.line << "\t" << e.enum_name << "\t" << e.name
-        << "\t" << e.value << "\n";
-  }
-  for (const std::string& field : facts.kernel_fields) {
-    out << "kernel_field\t" << field << "\n";
-  }
-  if (facts.has_kernel_table) out << "kernel_table\n";
-  for (const std::string& field : facts.kernel_table_fields) {
-    out << "kernel_init\t" << field << "\n";
-  }
-  for (const Suppression& s : facts.suppressions) {
-    std::string rule;
-    std::string reason;
-    AppendEscaped(s.rule, &rule);
-    AppendEscaped(s.reason, &reason);
-    out << "allow\t" << s.line << "\t" << rule << "\t" << reason << "\n";
-  }
-  for (int line : facts.aliased_ack_lines) {
-    out << "aliased_ack\t" << line << "\n";
-  }
-  for (const Finding& f : facts.findings) {
-    std::string rule;
-    std::string msg;
-    std::string reason;
-    AppendEscaped(f.rule, &rule);
-    AppendEscaped(f.message, &msg);
-    AppendEscaped(f.suppress_reason, &reason);
-    out << "finding\t" << f.line << "\t" << rule << "\t"
-        << (f.suppressed ? 1 : 0) << "\t" << msg << "\t" << reason << "\n";
-  }
-  return out.str();
-}
-
-bool ParseFacts(const std::string& text, FileFacts* out) {
-  *out = FileFacts{};
-  std::istringstream in(text);
-  std::string line;
-  bool have_header = false;
-  std::vector<std::string> f;
-  while (std::getline(in, line)) {
-    if (!SplitEscaped(line, &f) || f.empty()) return false;
-    if (!have_header) {
-      if (f.size() != 2 || f[0] != "tasfar-analyze-facts" ||
-          f[1] != "v" + std::to_string(kFactsSchemaVersion)) {
-        return false;
-      }
-      have_header = true;
-      continue;
-    }
-    const std::string& tag = f[0];
-    if (tag == "path" && f.size() == 2) {
-      out->path = f[1];
-    } else if (tag == "hash" && f.size() == 2) {
-      out->content_hash = std::strtoull(f[1].c_str(), nullptr, 10);
-    } else if (tag == "metric" && f.size() == 3) {
-      out->metrics.push_back({f[2], std::atoi(f[1].c_str())});
-    } else if (tag == "metric_prefix" && f.size() == 2) {
-      out->metric_prefixes.push_back(f[1]);
-    } else if (tag == "span" && f.size() == 3) {
-      out->spans.push_back({f[2], std::atoi(f[1].c_str())});
-    } else if (tag == "failpoint" && f.size() == 3) {
-      out->failpoints.push_back({f[2], std::atoi(f[1].c_str())});
-    } else if (tag == "enum" && f.size() == 5) {
-      out->enumerators.push_back(
-          {f[2], f[3], std::atoi(f[4].c_str()), std::atoi(f[1].c_str())});
-    } else if (tag == "kernel_field" && f.size() == 2) {
-      out->kernel_fields.push_back(f[1]);
-    } else if (tag == "kernel_table" && f.size() == 1) {
-      out->has_kernel_table = true;
-    } else if (tag == "kernel_init" && f.size() == 2) {
-      out->kernel_table_fields.push_back(f[1]);
-    } else if (tag == "allow" && f.size() == 4) {
-      out->suppressions.push_back({std::atoi(f[1].c_str()), f[2], f[3]});
-    } else if (tag == "aliased_ack" && f.size() == 2) {
-      out->aliased_ack_lines.push_back(std::atoi(f[1].c_str()));
-    } else if (tag == "finding" && f.size() == 6) {
-      Finding fd;
-      fd.file = out->path;
-      fd.line = std::atoi(f[1].c_str());
-      fd.rule = f[2];
-      fd.suppressed = f[3] == "1";
-      fd.message = f[4];
-      fd.suppress_reason = f[5];
-      out->findings.push_back(fd);
-    } else {
-      return false;
-    }
-  }
-  return have_header;
 }
 
 }  // namespace tasfar::analyze

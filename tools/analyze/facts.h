@@ -1,7 +1,6 @@
 #ifndef TASFAR_TOOLS_ANALYZE_FACTS_H_
 #define TASFAR_TOOLS_ANALYZE_FACTS_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,12 +48,8 @@ struct Suppression {
 
 /// Everything the whole-program pass needs from one file, plus the file's
 /// own per-file findings. Symbols are extracted from src/ files only.
-/// This is the unit of the incremental cache: facts are a pure function
-/// of (path, content), so a content-hash hit can skip lexing and rule
-/// evaluation entirely.
 struct FileFacts {
-  std::string path;           ///< Repo-relative.
-  uint64_t content_hash = 0;  ///< FNV-1a of the file bytes.
+  std::string path;  ///< Repo-relative.
 
   std::vector<NameRef> metrics;     ///< Exact metric names registered.
   std::vector<std::string> metric_prefixes;  ///< Dynamic ("tasfar.guard.").
@@ -77,19 +72,6 @@ struct FileFacts {
 /// The whole-program pass runs later over the merged facts (see rules.h).
 FileFacts AnalyzeSource(const std::string& repo_rel_path,
                         const std::string& source);
-
-/// Cache (de)serialization. The format is line-oriented, tab-separated,
-/// with backslash escaping for tabs/newlines/backslashes; SerializeFacts
-/// round-trips through ParseFacts exactly.
-/// Returns false when `text` is malformed or was written by a different
-/// schema version (kFactsSchemaVersion below).
-std::string SerializeFacts(const FileFacts& facts);
-bool ParseFacts(const std::string& text, FileFacts* out);
-
-/// Bumped whenever FileFacts, the serialization, or any rule's semantics
-/// change, so stale caches self-invalidate. Mirrored in the checked-in
-/// tools/analyze/CACHE_SCHEMA file that CI uses as its cache key.
-constexpr int kFactsSchemaVersion = 3;
 
 }  // namespace tasfar::analyze
 

@@ -180,13 +180,4 @@ size_t MatchingClose(const std::vector<Token>& toks, size_t open) {
   return toks.size();
 }
 
-uint64_t HashContent(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace tasfar::analyze

@@ -51,10 +51,6 @@ bool IsPunct(const Token& tok, const char* text);
 /// three bracket kinds. Returns toks.size() when unbalanced.
 size_t MatchingClose(const std::vector<Token>& toks, size_t open);
 
-/// FNV-1a 64-bit hash of a byte string — the content hash behind the
-/// analyzer's incremental cache.
-uint64_t HashContent(const std::string& bytes);
-
 }  // namespace tasfar::analyze
 
 #endif  // TASFAR_TOOLS_ANALYZE_LEXER_H_

@@ -1,16 +1,15 @@
 // tasfar_analyze — the repo's invariant analyzer.
 //
 // Lexes every .h/.cc/.cpp file under src/, tests/, bench/, examples/ and
-// tools/ (in parallel, through a content-hash incremental cache), runs the
-// per-file rules on each, then one whole-program pass over the merged
-// facts and the docs: registry-consistency, protocol-doc-sync and the
-// F32Kernels table sync. docs/STATIC_ANALYSIS.md has the rule catalog.
+// tools/ in one serial pass, runs the per-file rules on each, then one
+// whole-program pass over the merged facts and the docs:
+// registry-consistency, protocol-doc-sync and the F32Kernels table sync.
+// docs/STATIC_ANALYSIS.md has the rule catalog.
 //
-// Usage: tasfar_analyze [repo_root]
-//          [--cache-dir=DIR | --no-cache] [--sarif=PATH | --no-sarif]
-// Defaults: cache under <root>/bench_out/analyze_cache/v<schema>/, SARIF
-// to <root>/bench_out/analyze.sarif. Exits 0 when clean, 1 on any
-// unsuppressed finding, 2 on I/O errors (a missing source root or doc).
+// Usage: tasfar_analyze [repo_root] [--sarif=PATH | --no-sarif]
+// Default SARIF path: <root>/bench_out/analyze.sarif. Exits 0 when clean,
+// 1 on any unsuppressed finding, 2 on I/O errors (a missing source root or
+// doc).
 
 #include <cstdio>
 #include <filesystem>
@@ -35,19 +34,13 @@ bool ConsumeFlag(const std::string& arg, const std::string& prefix,
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   std::string repo_root = ".";
-  std::string cache_dir;
   std::string sarif_path;
-  bool no_cache = false;
   bool no_sarif = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
-    if (arg == "--no-cache") {
-      no_cache = true;
-    } else if (arg == "--no-sarif") {
+    if (arg == "--no-sarif") {
       no_sarif = true;
-    } else if (ConsumeFlag(arg, "--cache-dir=", &value)) {
-      cache_dir = value;
     } else if (ConsumeFlag(arg, "--sarif=", &value)) {
       sarif_path = value;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -57,12 +50,6 @@ int main(int argc, char** argv) {
       repo_root = arg;
     }
   }
-  if (!no_cache && cache_dir.empty()) {
-    cache_dir = (fs::path(repo_root) / "bench_out" / "analyze_cache" /
-                 ("v" + std::to_string(tasfar::analyze::kFactsSchemaVersion)))
-                    .string();
-  }
-  if (no_cache) cache_dir.clear();
   if (!no_sarif && sarif_path.empty()) {
     sarif_path =
         (fs::path(repo_root) / "bench_out" / "analyze.sarif").string();
@@ -70,7 +57,6 @@ int main(int argc, char** argv) {
 
   tasfar::analyze::AnalyzeOptions options;
   options.repo_root = repo_root;
-  options.cache_dir = cache_dir;
   const tasfar::analyze::AnalyzeResult result =
       tasfar::analyze::AnalyzeRepo(options);
   if (result.io_error) {
@@ -96,8 +82,7 @@ int main(int argc, char** argv) {
   }
 
   TASFAR_LOG(kInfo) << "tasfar_analyze: " << result.files_scanned
-                    << " files (" << result.cache_hits << " cached), "
-                    << result.unsuppressed << " finding(s), "
+                    << " files, " << result.unsuppressed << " finding(s), "
                     << result.suppressed << " suppressed";
   return result.unsuppressed > 0 ? 1 : 0;
 }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -777,18 +776,6 @@ TEST(SimdKernelTableSyncTest, RealRepoTablesAreInSync) {
   for (const Finding& f : KernelTableSync(header, backends)) {
     ADD_FAILURE() << f.file << ": " << f.message;
   }
-}
-
-// --- incremental cache -------------------------------------------------------
-
-TEST(CacheSchemaTest, FileMatchesFactsSchemaVersion) {
-  // CI keys the facts cache on tools/analyze/CACHE_SCHEMA, so it must move
-  // with kFactsSchemaVersion.
-  std::string schema;
-  if (!ReadRepoFile("tools/analyze/CACHE_SCHEMA", &schema)) {
-    GTEST_SKIP() << "repo root not found from test cwd";
-  }
-  EXPECT_EQ(std::atoi(schema.c_str()), kFactsSchemaVersion);
 }
 
 }  // namespace

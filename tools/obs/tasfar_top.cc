@@ -6,7 +6,9 @@
 // Polls the daemon's plain-HTTP endpoints — `/sessions` for the
 // per-session table and `/metrics` for a process-wide header line — and
 // renders them as a refreshing terminal table. `--once` prints a single
-// snapshot and exits (CI, scripts).
+// snapshot and exits (CI, scripts). `--port` must be a whole number in
+// [1, 65535] and `--interval-ms` one in [1, 3600000]; anything else exits
+// with code 2.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -15,12 +17,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/parse.h"
 
 namespace {
 
@@ -152,14 +156,18 @@ void Render(uint16_t port, bool clear) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  long port = 0;
-  long interval_ms = 1000;
+  constexpr char kProgram[] = "tasfar_top";
+  constexpr uint64_t kMaxIntervalMs = 3600u * 1000u;
+  uint16_t port = 0;
+  int interval_ms = 1000;
   bool once = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = std::strtol(argv[++i], nullptr, 10);
+      port = static_cast<uint16_t>(
+          tasfar::ParseOrExit(kProgram, "--port", argv[++i], 1, 65535));
     } else if (std::strcmp(argv[i], "--interval-ms") == 0 && i + 1 < argc) {
-      interval_ms = std::strtol(argv[++i], nullptr, 10);
+      interval_ms = static_cast<int>(tasfar::ParseOrExit(
+          kProgram, "--interval-ms", argv[++i], 1, kMaxIntervalMs));
     } else if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
     } else {
@@ -168,17 +176,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (port <= 0 || port > 65535) {
+  if (port == 0) {
     std::fprintf(stderr,
                  "usage: tasfar_top --port P [--interval-ms N] [--once]\n");
     return 2;
   }
   if (once) {
-    Render(static_cast<uint16_t>(port), /*clear=*/false);
+    Render(port, /*clear=*/false);
     return 0;
   }
   for (;;) {
-    Render(static_cast<uint16_t>(port), /*clear=*/true);
-    ::poll(nullptr, 0, static_cast<int>(interval_ms));
+    Render(port, /*clear=*/true);
+    ::poll(nullptr, 0, interval_ms);
   }
 }

@@ -6,8 +6,9 @@
 // Commands:
 //   ping
 //   create <user> [seed] [budget_mb] [backend]
-//       input_dim fixed to the demo's 8; backend is mc_dropout (default),
-//       ensemble, or laplace (docs/UNCERTAINTY.md)
+//       input_dim fixed to the demo's 8; budget_mb 0 (default) takes the
+//       server's budget; backend is mc_dropout (default), ensemble, or
+//       laplace (docs/UNCERTAINTY.md)
 //   submit <user> <demo_rows>            deterministic demo target rows
 //   adapt <user> [adapt_seed]
 //   wait <user> [timeout_ms]             poll until adapted or degraded
@@ -18,19 +19,25 @@
 //   close <user>
 //   inspect <user> [dump_file]           session telemetry + flight dump
 //   metrics
+//
+// Every number must be a whole unsigned decimal within its range
+// (docs/SERVING.md); anything else exits with code 2 before the client
+// connects.
 
 #include <poll.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "data/housing_sim.h"
 #include "serve/client.h"
 #include "serve/demo.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -40,6 +47,16 @@ using tasfar::serve::Client;
 using tasfar::serve::ClientSessionInfo;
 using tasfar::serve::SessionState;
 using tasfar::serve::SessionStateName;
+
+constexpr char kProgram[] = "tasfar_serve_cli";
+
+// Ranges of the numeric arguments (docs/SERVING.md). A budget of 0 takes
+// the server's default; the cap, a TiB, is the daemon's own budget cap and
+// keeps the MiB → bytes product from wrapping. A million demo rows of 8
+// doubles (64 MB) still fit one 64 MiB frame. A wait is at most an hour.
+constexpr uint64_t kMaxBudgetMb = 1u << 20;
+constexpr uint64_t kMaxDemoRows = 1000000;
+constexpr uint64_t kMaxWaitMs = 3600u * 1000u;
 
 int Die(const Status& st) {
   std::fprintf(stderr, "tasfar_serve_cli: %s\n", st.ToString().c_str());
@@ -63,24 +80,54 @@ void PrintInfo(const ClientSessionInfo& info) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  long port = 0;
-  int argi = 1;
-  if (argi + 1 < argc && std::strcmp(argv[argi], "--port") == 0) {
-    port = std::strtol(argv[argi + 1], nullptr, 10);
-    argi += 2;
-  }
-  if (port <= 0 || argi >= argc) {
+  using tasfar::ParseOrExit;
+  if (argc < 4 || std::strcmp(argv[1], "--port") != 0) {
     std::fprintf(stderr,
                  "usage: tasfar_serve_cli --port P <command> [args]\n");
     return 2;
   }
+  const auto port = static_cast<uint16_t>(
+      ParseOrExit(kProgram, "--port", argv[2], 1, 65535));
+  int argi = 3;
   const std::string cmd = argv[argi++];
   auto arg = [&](int k) -> std::string {
     return argi + k < argc ? argv[argi + k] : "";
   };
 
+  // Every number is checked before the client connects: argument k as a
+  // number in [lo, hi], or `fallback` when it is absent.
+  auto number = [&](int k, const char* name, uint64_t fallback, uint64_t lo,
+                    uint64_t hi) {
+    return arg(k).empty() ? fallback
+                          : ParseOrExit(kProgram, name, arg(k), lo, hi);
+  };
+  constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+  uint64_t seed = 0;
+  uint64_t budget_mb = 0;
+  uint64_t demo_rows = 0;
+  uint64_t timeout_ms = 0;
+  tasfar::UncertaintyBackend backend = tasfar::UncertaintyBackend::kMcDropout;
+  if (cmd == "create") {
+    seed = number(1, "seed", 0x5eed, 0, kU64Max);
+    budget_mb = number(2, "budget_mb", 0, 0, kMaxBudgetMb);
+    if (!arg(3).empty() &&
+        !tasfar::ParseUncertaintyBackendName(arg(3), &backend)) {
+      std::fprintf(stderr,
+                   "tasfar_serve_cli: unknown backend '%s' (want "
+                   "mc_dropout, ensemble, or laplace)\n",
+                   arg(3).c_str());
+      return 2;
+    }
+  } else if (cmd == "submit" || cmd == "predict") {
+    demo_rows = number(1, "demo_rows", 64, 1, kMaxDemoRows);
+  } else if (cmd == "adapt") {
+    seed = number(1, "adapt_seed", 7, 0, kU64Max);
+  } else if (cmd == "wait") {
+    timeout_ms = number(1, "timeout_ms", 120000, 0, kMaxWaitMs);
+  }
+
   Client client;
-  Status st = client.Connect(static_cast<uint16_t>(port));
+  Status st = client.Connect(port);
   if (!st.ok()) return Die(st);
 
   if (cmd == "ping") {
@@ -104,21 +151,6 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "create") {
-    const uint64_t seed =
-        arg(1).empty() ? 0x5eedULL : std::strtoull(arg(1).c_str(),
-                                                   nullptr, 10);
-    const uint64_t budget_mb =
-        arg(2).empty() ? 0 : std::strtoull(arg(2).c_str(), nullptr, 10);
-    tasfar::UncertaintyBackend backend =
-        tasfar::UncertaintyBackend::kMcDropout;
-    if (!arg(3).empty() &&
-        !tasfar::ParseUncertaintyBackendName(arg(3), &backend)) {
-      std::fprintf(stderr,
-                   "tasfar_serve_cli: unknown backend '%s' (want "
-                   "mc_dropout, ensemble, or laplace)\n",
-                   arg(3).c_str());
-      return 2;
-    }
     st = client.CreateSession(user, seed, tasfar::kNumHousingFeatures,
                               budget_mb * 1024 * 1024, backend);
     if (!st.ok()) return Die(st);
@@ -127,9 +159,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "submit" || cmd == "predict") {
-    const size_t n =
-        arg(1).empty() ? 64 : std::strtoul(arg(1).c_str(), nullptr, 10);
-    const Tensor rows = tasfar::serve::BuildDemoTargetRows(n);
+    const Tensor rows =
+        tasfar::serve::BuildDemoTargetRows(static_cast<size_t>(demo_rows));
     if (cmd == "submit") {
       st = client.SubmitTargetData(user, static_cast<uint32_t>(rows.dim(0)),
                                    static_cast<uint32_t>(rows.dim(1)),
@@ -154,17 +185,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "adapt") {
-    const uint64_t seed =
-        arg(1).empty() ? 7 : std::strtoull(arg(1).c_str(), nullptr, 10);
     st = client.Adapt(user, seed);
     if (!st.ok()) return Die(st);
     std::printf("adapt job queued\n");
     return 0;
   }
   if (cmd == "wait") {
-    const long timeout_ms =
-        arg(1).empty() ? 120000 : std::strtol(arg(1).c_str(), nullptr, 10);
-    long waited = 0;
+    uint64_t waited = 0;
     for (;;) {
       auto info = client.QuerySession(user);
       if (!info.ok()) return Die(info.status());

@@ -43,21 +43,7 @@ volatile std::sig_atomic_t g_shutdown = 0;
 
 void HandleSignal(int) { g_shutdown = 1; }
 
-// `text`, the value of flag or variable `name`, as an integer in
-// [lo, hi]; anything else exits with code 2, naming `name` and the range.
-uint64_t ParseOrExit(const char* name, const char* text, uint64_t lo,
-                     uint64_t hi) {
-  const std::optional<uint64_t> value = tasfar::ParseUnsigned(text, lo, hi);
-  if (!value.has_value()) {
-    std::fprintf(stderr,
-                 "tasfar_served: %s must be a whole number in [%llu, %llu], "
-                 "got \"%s\"\n",
-                 name, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi), text);
-    std::exit(2);
-  }
-  return *value;
-}
+constexpr char kProgram[] = "tasfar_served";
 
 // Environment variable `var` through ParseOrExit; unset or empty gives
 // `fallback`.
@@ -65,7 +51,7 @@ uint64_t EnvOr(const char* var, uint64_t fallback, uint64_t lo,
                uint64_t hi) {
   const char* v = std::getenv(var);
   if (v == nullptr || v[0] == '\0') return fallback;
-  return ParseOrExit(var, v, lo, hi);
+  return tasfar::ParseOrExit(kProgram, var, v, lo, hi);
 }
 
 // A row of more features than this could never fit one Submit or Predict
@@ -95,7 +81,7 @@ int main(int argc, char** argv) {
   bool oneshot = false;
   std::string weights_path, calib_path, port_file;
   size_t input_dim = 0;
-  const char* port_flag = nullptr;
+  std::optional<uint64_t> port_flag;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -114,10 +100,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--calib") {
       calib_path = next("--calib");
     } else if (arg == "--input-dim") {
-      input_dim = static_cast<size_t>(
-          ParseOrExit("--input-dim", next("--input-dim"), 1, kMaxInputDim));
+      input_dim = static_cast<size_t>(ParseOrExit(
+          kProgram, "--input-dim", next("--input-dim"), 1, kMaxInputDim));
     } else if (arg == "--port") {
-      port_flag = next("--port");
+      port_flag = ParseOrExit(kProgram, "--port", next("--port"), 0, 65535);
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else {
@@ -134,9 +120,8 @@ int main(int argc, char** argv) {
   // --- Server configuration (checked before any model work) -----------
   ServerConfig config;
   config.port = static_cast<uint16_t>(
-      port_flag != nullptr
-          ? ParseOrExit("--port", port_flag, 0, 65535)
-          : EnvOr("TASFAR_SERVE_PORT", 0, 0, 65535));
+      port_flag.has_value() ? *port_flag
+                            : EnvOr("TASFAR_SERVE_PORT", 0, 0, 65535));
   config.manager.max_sessions = static_cast<size_t>(
       EnvOr("TASFAR_SERVE_MAX_SESSIONS", 64, 1, kMaxSessions));
   config.manager.default_budget_bytes = static_cast<size_t>(
