@@ -157,7 +157,7 @@ void BM_DenseTrainStep(benchmark::State& state) {
     Tensor grad;
     loss::Mse(pred, y, &grad, nullptr);
     model.ZeroGrads();
-    model.Backward(grad);
+    model.BackwardParams(grad);
     opt.Step(model.Params(), model.Grads());
   }
   state.SetItemsProcessed(state.iterations() * 64);

@@ -71,7 +71,7 @@ std::unique_ptr<Sequential> AdvUda::Adapt(const Sequential& source_model,
       Tensor grad;
       loss::Mse(pred, ys_b, &grad, nullptr);
       model->ZeroGrads();
-      model->Backward(grad);
+      model->BackwardParams(grad);
       model_opt.Step(model->Params(), model->Grads());
 
       // (b) Discriminator step on detached features: source -> 1,
@@ -84,7 +84,7 @@ std::unique_ptr<Sequential> AdvUda::Adapt(const Sequential& source_model,
         Tensor g_s;
         loss::BinaryCrossEntropy(prob_s, ones, &g_s);
         discriminator.ZeroGrads();
-        discriminator.Backward(g_s);
+        discriminator.BackwardParams(g_s);
         disc_opt.Step(discriminator.Params(), discriminator.Grads());
 
         Tensor prob_t = discriminator.Forward(feat_t, /*training=*/true);
@@ -92,7 +92,7 @@ std::unique_ptr<Sequential> AdvUda::Adapt(const Sequential& source_model,
         Tensor g_t;
         loss::BinaryCrossEntropy(prob_t, zeros, &g_t);
         discriminator.ZeroGrads();
-        discriminator.Backward(g_t);
+        discriminator.BackwardParams(g_t);
         disc_opt.Step(discriminator.Params(), discriminator.Grads());
       }
 

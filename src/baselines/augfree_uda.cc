@@ -54,7 +54,7 @@ std::unique_ptr<Sequential> AugfreeUda::Adapt(const Sequential& source_model,
       Tensor grad;
       loss::Mse(pred, target, &grad, nullptr);
       model->ZeroGrads();
-      model->Backward(grad);
+      model->BackwardParams(grad);
       optimizer.Step(model->Params(), model->Grads());
     }
   }

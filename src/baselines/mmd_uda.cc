@@ -158,7 +158,7 @@ std::unique_ptr<Sequential> MmdUda::Adapt(const Sequential& source_model,
       Tensor grad;
       loss::Mse(pred, ys_b, &grad, nullptr);
       model->ZeroGrads();
-      model->Backward(grad);
+      model->BackwardParams(grad);
       optimizer.Step(model->Params(), model->Grads());
 
       // (b) Alignment step: pull target features toward the detached

@@ -73,7 +73,7 @@ std::unique_ptr<Sequential> UncertaintySdUda::Adapt(
       Tensor grad;
       loss::Mse(pred, targets, &grad, &w);
       model->ZeroGrads();
-      model->Backward(grad);
+      model->BackwardParams(grad);
       optimizer.Step(model->Params(), model->Grads());
     }
   }

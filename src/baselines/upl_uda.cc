@@ -72,7 +72,7 @@ std::unique_ptr<Sequential> UplUda::Adapt(const Sequential& source_model,
       Tensor grad;
       loss::Mse(pred, batch_targets, &grad, nullptr);
       model->ZeroGrads();
-      model->Backward(grad);
+      model->BackwardParams(grad);
       optimizer.Step(model->Params(), model->Grads());
     }
   }

@@ -23,6 +23,7 @@ class Conv1d : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&grad_weight_, &grad_bias_}; }
   std::unique_ptr<Layer> Clone() const override;
@@ -32,6 +33,9 @@ class Conv1d : public Layer {
   size_t OutputLength(size_t t) const;
 
  private:
+  // Accumulates the parameter gradients and, unless `grad_input` is null,
+  // sets it to the input gradient.
+  void RunBackward(const Tensor& grad_output, Tensor* grad_input);
   ConvGeometry Geometry(size_t batch, size_t t_in) const;
 
   size_t in_channels_, out_channels_, kernel_size_;

@@ -65,19 +65,31 @@ Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
+  Tensor grad_input;
+  RunBackward(grad_output, &grad_input);
+  return grad_input;
+}
+
+void Conv2d::BackwardParams(const Tensor& grad_output) {
+  RunBackward(grad_output, nullptr);
+}
+
+void Conv2d::RunBackward(const Tensor& grad_output, Tensor* grad_input) {
   TASFAR_CHECK_MSG(cached_input_.size() > 0, "Backward before Forward");
   const ConvGeometry g = Geometry(cached_input_.dim(0), cached_input_.dim(2),
                                   cached_input_.dim(3));
   TASFAR_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == g.batch &&
                grad_output.dim(1) == out_channels_ &&
                grad_output.dim(2) == g.h.out && grad_output.dim(3) == g.w.out);
-  // Every element is assigned by ConvBackward.
-  Tensor grad_input =
-      Workspace::ThreadLocal().NewTensor(cached_input_.shape());
+  double* gi = nullptr;
+  if (grad_input != nullptr) {
+    // Every element is assigned by ConvBackward.
+    *grad_input = Workspace::ThreadLocal().NewTensor(cached_input_.shape());
+    gi = grad_input->data();
+  }
   ConvBackward(g, std::as_const(cached_input_).data(),
                std::as_const(weight_).data(), grad_output.data(),
-               grad_weight_.data(), grad_bias_.data(), grad_input.data());
-  return grad_input;
+               grad_weight_.data(), grad_bias_.data(), gi);
 }
 
 std::unique_ptr<Layer> Conv2d::Clone() const {

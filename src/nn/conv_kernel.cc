@@ -1,6 +1,7 @@
 #include "nn/conv_kernel.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -40,6 +41,32 @@ Taps TapsOf(const ConvAxis& a, size_t k) {
   t.n = static_cast<size_t>(hi - lo);
   t.first = static_cast<size_t>(lo * stride + offset);
   return t;
+}
+
+// The taps an output position reaches in range, [lo, lo + n), and the
+// input position `first` that tap lo reads; tap lo + k reads input
+// first + k * dilation.
+struct Window {
+  size_t lo = 0;
+  size_t n = 0;
+  size_t first = 0;
+};
+
+// Every output position's window along one axis. The in-range taps of a
+// position are contiguous, so walking them downward leaves lo at the
+// smallest.
+std::vector<Window> WindowsOf(const ConvAxis& a) {
+  std::vector<Window> wins(a.out);
+  for (size_t k = a.kernel; k-- > 0;) {
+    const Taps t = TapsOf(a, k);
+    for (size_t j = 0; j < t.n; ++j) {
+      Window& win = wins[t.lo + j];
+      win.lo = k;
+      win.first = t.first + j * a.stride;
+      ++win.n;
+    }
+  }
+  return wins;
 }
 
 }  // namespace
@@ -88,10 +115,13 @@ void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
   const size_t taps = g.h.kernel * g.w.kernel;
   const size_t madds =
       g.batch * g.out_channels * out_plane * g.in_channels * taps;
+  const std::vector<Window> wins_w = WindowsOf(g.w);
 
-  // Weight and bias gradients: one shard per (oc, ic, kh) kernel row. Each
-  // element sums go * x over (b, ho, wo) ascending; the shard of row
-  // (oc, 0, 0) also sums oc's bias gradient in the same order.
+  // Weight and bias gradients: one shard per (oc, ic, kh) kernel row. The
+  // shard visits the outputs (b, ho, wo) that row reaches, ascending, and
+  // adds each nonzero upstream gradient's term to every kw accumulator of
+  // the row; the shard of row (oc, 0, 0) also sums oc's bias gradient in
+  // the same order.
   const size_t rows = g.out_channels * g.in_channels * g.h.kernel;
   ParallelFor(0, rows, Grain(rows, madds), [&](size_t r) {
     const size_t oc = r / (g.in_channels * g.h.kernel);
@@ -99,24 +129,23 @@ void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
     const size_t kh = r % g.h.kernel;
     const Taps th = TapsOf(g.h, kh);
     double* gw = grad_weight + r * g.w.kernel;
-    for (size_t kw = 0; kw < g.w.kernel; ++kw) {
-      const Taps tw = TapsOf(g.w, kw);
-      double acc = gw[kw];
-      for (size_t b = 0; b < g.batch; ++b) {
-        const double* gp = grad_out + (b * g.out_channels + oc) * out_plane;
-        const double* xp = x + (b * g.in_channels + ic) * in_plane;
-        for (size_t i = 0; i < th.n; ++i) {
-          const double* grow = gp + (th.lo + i) * g.w.out + tw.lo;
-          const double* xrow =
-              xp + (th.first + i * g.h.stride) * g.w.in + tw.first;
-          for (size_t j = 0; j < tw.n; ++j) {
-            const double go = grow[j];
-            if (go == 0.0) continue;
-            acc += go * xrow[j * g.w.stride];
+    for (size_t b = 0; b < g.batch; ++b) {
+      const double* gp = grad_out + (b * g.out_channels + oc) * out_plane;
+      const double* xp = x + (b * g.in_channels + ic) * in_plane;
+      for (size_t i = 0; i < th.n; ++i) {
+        const double* grow = gp + (th.lo + i) * g.w.out;
+        const double* xrow = xp + (th.first + i * g.h.stride) * g.w.in;
+        for (size_t wo = 0; wo < g.w.out; ++wo) {
+          const double go = grow[wo];
+          if (go == 0.0) continue;
+          const Window& win = wins_w[wo];
+          double* acc = gw + win.lo;
+          const double* xw = xrow + win.first;
+          for (size_t k = 0; k < win.n; ++k) {
+            acc[k] += go * xw[k * g.w.dilation];
           }
         }
       }
-      gw[kw] = acc;
     }
     if (ic != 0 || kh != 0) return;
     double& gb = grad_bias[oc];
@@ -127,11 +156,13 @@ void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
       }
     }
   });
+  if (grad_input == nullptr) return;
 
-  // Input gradient: one shard per (b, ic) plane. Each element sums
-  // go * w over (oc, ho, wo) ascending: for a fixed input element a larger
-  // kh means a smaller ho and a larger kw a smaller wo, so walking both
-  // taps downward visits its terms in that order.
+  // Input gradient: one shard per (b, ic) plane. The shard visits the
+  // outputs (oc, ho, wo) ascending and adds each nonzero upstream
+  // gradient's term to every input element its (kh, kw) window reaches,
+  // so each element sums its terms in (oc, ho, wo) order.
+  const std::vector<Window> wins_h = WindowsOf(g.h);
   const size_t planes = g.batch * g.in_channels;
   ParallelFor(0, planes, Grain(planes, madds), [&](size_t p) {
     const size_t b = p / g.in_channels;
@@ -141,19 +172,19 @@ void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
     for (size_t oc = 0; oc < g.out_channels; ++oc) {
       const double* gp = grad_out + (b * g.out_channels + oc) * out_plane;
       const double* wp = weight + (oc * g.in_channels + ic) * taps;
-      for (size_t kh = g.h.kernel; kh-- > 0;) {
-        const Taps th = TapsOf(g.h, kh);
-        for (size_t kw = g.w.kernel; kw-- > 0;) {
-          const Taps tw = TapsOf(g.w, kw);
-          const double wv = wp[kh * g.w.kernel + kw];
-          for (size_t i = 0; i < th.n; ++i) {
-            const double* grow = gp + (th.lo + i) * g.w.out + tw.lo;
+      for (size_t ho = 0; ho < g.h.out; ++ho) {
+        const Window& wh = wins_h[ho];
+        const double* grow = gp + ho * g.w.out;
+        for (size_t wo = 0; wo < g.w.out; ++wo) {
+          const double go = grow[wo];
+          if (go == 0.0) continue;
+          const Window& ww = wins_w[wo];
+          for (size_t i = 0; i < wh.n; ++i) {
+            const double* wrow = wp + (wh.lo + i) * g.w.kernel + ww.lo;
             double* girow =
-                gi + (th.first + i * g.h.stride) * g.w.in + tw.first;
-            for (size_t j = 0; j < tw.n; ++j) {
-              const double go = grow[j];
-              if (go == 0.0) continue;
-              girow[j * g.w.stride] += go * wv;
+                gi + (wh.first + i * g.h.dilation) * g.w.in + ww.first;
+            for (size_t k = 0; k < ww.n; ++k) {
+              girow[k * g.w.dilation] += go * wrow[k];
             }
           }
         }

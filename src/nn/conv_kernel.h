@@ -37,12 +37,13 @@ void ConvForward(const ConvGeometry& g, const double* x, const double* weight,
 
 /// Adds the weight and bias gradients of upstream `grad_out` into
 /// `grad_weight`/`grad_bias` and overwrites `grad_input` with the input
-/// gradient. Each weight element sums its (batch, ho, wo) terms and each
-/// input element its (out_channel, ho, wo) terms in ascending order,
-/// skipping zero upstream gradients; byte-identical at every thread
-/// count. The three outputs must not overlap each other or the inputs;
-/// take them on the calling thread (a mutable `Tensor::data()` may
-/// detach, which workers must not do).
+/// gradient; a null `grad_input` means parameter gradients only. Each
+/// weight element sums its (batch, ho, wo) terms and each input element
+/// its (out_channel, ho, wo) terms in ascending order, skipping zero
+/// upstream gradients; byte-identical at every thread count. The outputs
+/// must not overlap each other or the inputs; take them on the calling
+/// thread (a mutable `Tensor::data()` may detach, which workers must not
+/// do).
 void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
                   const double* grad_out, double* grad_weight,
                   double* grad_bias, double* grad_input);

@@ -53,6 +53,16 @@ void Dense::ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {
+  BackwardParams(grad_output);
+  Workspace& ws = Workspace::ThreadLocal();
+  Tensor weight_t = ws.NewTensor({out_dim_, in_dim_});
+  TransposedInto(weight_, &weight_t);
+  Tensor grad_in = ws.NewTensor({grad_output.dim(0), in_dim_});
+  MatMulInto(grad_output, weight_t, &grad_in);
+  return grad_in;
+}
+
+void Dense::BackwardParams(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_dim_);
   TASFAR_CHECK_MSG(cached_input_.size() > 0, "Backward before Forward");
   TASFAR_CHECK(grad_output.dim(0) == cached_input_.dim(0));
@@ -68,11 +78,6 @@ Tensor Dense::Backward(const Tensor& grad_output) {
       grad_bias_[j] += grad_output.At(i, j);
     }
   }
-  Tensor weight_t = ws.NewTensor({out_dim_, in_dim_});
-  TransposedInto(weight_, &weight_t);
-  Tensor grad_in = ws.NewTensor({batch, in_dim_});
-  MatMulInto(grad_output, weight_t, &grad_in);
-  return grad_in;
 }
 
 std::unique_ptr<Layer> Dense::Clone() const {

@@ -21,6 +21,7 @@ class Dense : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParams(const Tensor& grad_output) override;
   bool SupportsF32() const override { return true; }
   void ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
                   bool training) override;

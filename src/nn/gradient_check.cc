@@ -16,7 +16,7 @@ GradCheckResult CheckGradients(Sequential* model, const Tensor& inputs,
   Tensor grad_pred;
   loss(pred, targets, &grad_pred, nullptr);
   model->ZeroGrads();
-  model->Backward(grad_pred);
+  model->BackwardParams(grad_pred);
 
   auto params = model->Params();
   auto grads = model->Grads();

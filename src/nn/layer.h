@@ -21,8 +21,9 @@ namespace tasfar {
 /// Contract:
 ///  - Backward must be called with the gradient of the loss with respect to
 ///    the output of the *most recent* Forward call.
-///  - Parameter gradients accumulate across Backward calls until
-///    ZeroGrads() is invoked (this enables gradient accumulation).
+///  - Parameter gradients accumulate across Backward and BackwardParams
+///    calls until ZeroGrads() is invoked (this enables gradient
+///    accumulation).
 ///  - Clone() deep-copies parameters and configuration; cached activations
 ///    are not cloned.
 class Layer {
@@ -37,6 +38,15 @@ class Layer {
   /// Backpropagates `grad_output` (d loss / d output) through the layer,
   /// returning d loss / d input and accumulating parameter gradients.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
+
+  /// Accumulates the same parameter gradients as Backward, byte for byte,
+  /// and produces no input gradient: for callers that would drop it (the
+  /// trainers, and the first layer of a Sequential). The default runs
+  /// Backward and drops the result; Conv1d, Conv2d, Dense and the
+  /// containers override it to skip the input-gradient work.
+  virtual void BackwardParams(const Tensor& grad_output) {
+    Backward(grad_output);
+  }
 
   /// Trainable parameter tensors (possibly empty). Pointers remain valid
   /// for the lifetime of the layer.

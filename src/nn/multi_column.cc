@@ -1,6 +1,7 @@
 #include "nn/multi_column.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -49,17 +50,17 @@ Tensor MultiColumn::Forward(const Tensor& input, bool training) {
   return fused;
 }
 
-Tensor MultiColumn::Backward(const Tensor& grad_output) {
+std::vector<Tensor> MultiColumn::SplitGrad(const Tensor& grad_output) const {
   TASFAR_CHECK_MSG(!branch_widths_.empty(), "Backward before Forward");
   TASFAR_CHECK(grad_output.rank() == 2);
   const size_t batch = grad_output.dim(0);
   const size_t cols = grad_output.dim(1);
   const double* src = grad_output.data();
-  Tensor grad_input;
+  std::vector<Tensor> grads;
+  grads.reserve(branches_.size());
   size_t offset = 0;
   Workspace& ws = Workspace::ThreadLocal();
-  for (size_t k = 0; k < branches_.size(); ++k) {
-    const size_t width = branch_widths_[k];
+  for (const size_t width : branch_widths_) {
     TASFAR_CHECK(offset + width <= cols);
     Tensor grad_branch = ws.NewTensor({batch, width});
     double* dst = grad_branch.data();
@@ -68,15 +69,31 @@ Tensor MultiColumn::Backward(const Tensor& grad_output) {
       std::copy(row, row + width, dst + b * width);
     }
     offset += width;
-    Tensor g = branches_[k]->Backward(grad_branch);
+    grads.push_back(std::move(grad_branch));
+  }
+  TASFAR_CHECK(offset == cols);
+  return grads;
+}
+
+Tensor MultiColumn::Backward(const Tensor& grad_output) {
+  const std::vector<Tensor> grads = SplitGrad(grad_output);
+  Tensor grad_input;
+  for (size_t k = 0; k < branches_.size(); ++k) {
+    Tensor g = branches_[k]->Backward(grads[k]);
     if (k == 0) {
       grad_input = g;
     } else {
       grad_input += g;
     }
   }
-  TASFAR_CHECK(offset == cols);
   return grad_input;
+}
+
+void MultiColumn::BackwardParams(const Tensor& grad_output) {
+  const std::vector<Tensor> grads = SplitGrad(grad_output);
+  for (size_t k = 0; k < branches_.size(); ++k) {
+    branches_[k]->BackwardParams(grads[k]);
+  }
 }
 
 std::vector<Tensor*> MultiColumn::Params() {

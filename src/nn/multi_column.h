@@ -25,7 +25,10 @@ class MultiColumn : public Layer {
   size_t NumBranches() const { return branches_.size(); }
 
   Tensor Forward(const Tensor& input, bool training) override;
+  /// Sums the branches' input gradients.
   Tensor Backward(const Tensor& grad_output) override;
+  /// Each branch gets the BackwardParams call; nothing is summed.
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Tensor*> Params() override;
   std::vector<Tensor*> Grads() override;
   std::unique_ptr<Layer> Clone() const override;
@@ -36,6 +39,9 @@ class MultiColumn : public Layer {
   bool HasStochasticState() const override;
 
  private:
+  /// Splits a fused {batch, features} gradient into one per branch.
+  std::vector<Tensor> SplitGrad(const Tensor& grad_output) const;
+
   std::vector<std::unique_ptr<Sequential>> branches_;
   std::vector<size_t> branch_widths_;  ///< Output widths of the last forward.
 };

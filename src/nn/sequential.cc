@@ -17,7 +17,13 @@ Tensor Sequential::Forward(const Tensor& input, bool training) {
 }
 
 Tensor Sequential::Backward(const Tensor& grad_output) {
-  return BackwardFrom(grad_output, layers_.size());
+  Tensor g = grad_output;
+  for (size_t i = layers_.size(); i > 0; --i) g = layers_[i - 1]->Backward(g);
+  return g;
+}
+
+void Sequential::BackwardParams(const Tensor& grad_output) {
+  BackwardFrom(grad_output, layers_.size());
 }
 
 bool Sequential::SupportsF32() const {
@@ -67,11 +73,12 @@ Tensor Sequential::ForwardFrom(const Tensor& features, size_t cut,
   return x;
 }
 
-Tensor Sequential::BackwardFrom(const Tensor& grad, size_t cut) {
+void Sequential::BackwardFrom(const Tensor& grad, size_t cut) {
   TASFAR_CHECK(cut <= layers_.size());
+  if (cut == 0) return;
   Tensor g = grad;
-  for (size_t i = cut; i > 0; --i) g = layers_[i - 1]->Backward(g);
-  return g;
+  for (size_t i = cut; i > 1; --i) g = layers_[i - 1]->Backward(g);
+  layers_[0]->BackwardParams(g);
 }
 
 std::vector<Tensor*> Sequential::Params() {

@@ -43,6 +43,8 @@ class Sequential : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// BackwardFrom(grad_output, NumLayers()).
+  void BackwardParams(const Tensor& grad_output) override;
   /// True only when every child layer supports f32 (an empty chain is the
   /// identity and trivially supports it).
   bool SupportsF32() const override;
@@ -74,9 +76,10 @@ class Sequential : public Layer {
   /// on perturbed features.
   Tensor ForwardFrom(const Tensor& features, size_t cut, bool training);
 
-  /// Backpropagates `grad` injected after layer index `cut`-1 down to the
-  /// input, accumulating parameter gradients of layers [0, cut).
-  Tensor BackwardFrom(const Tensor& grad, size_t cut);
+  /// Backpropagates `grad` injected after layer index `cut`-1, accumulating
+  /// the parameter gradients of layers [0, cut). Layer 0 gets the
+  /// BackwardParams call, so no input gradient is computed.
+  void BackwardFrom(const Tensor& grad, size_t cut);
 
   /// Deep copy with concrete type (Clone() returns Layer).
   std::unique_ptr<Sequential> CloneSequential() const;

@@ -135,7 +135,7 @@ std::vector<EpochStats> Trainer::Fit(
         continue;
       }
       model_->ZeroGrads();
-      model_->Backward(grad);
+      model_->BackwardParams(grad);
       if (config.clip_grad_norm > 0.0) {
         double norm_sq = 0.0;
         for (Tensor* g : model_->Grads()) norm_sq += g->SquaredNorm();

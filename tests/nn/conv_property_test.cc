@@ -293,9 +293,11 @@ Tensor WithZeros(std::vector<size_t> shape, Rng* rng) {
 
 // Runs Forward and two Backward calls (no ZeroGrads in between, so the
 // parameter gradients accumulate) at every thread count, comparing every
-// byte with the reference loops. `ref_forward`/`ref_backward` close over
-// the layer's hyper-parameters. Returns whether the 8-thread run fanned
-// out over the pool rather than running inline (needs metrics enabled).
+// byte with the reference loops, then the same two calls through
+// BackwardParams, which must leave the same parameter gradients.
+// `ref_forward`/`ref_backward` close over the layer's hyper-parameters.
+// Returns whether the 8-thread run fanned out over the pool rather than
+// running inline (needs metrics enabled).
 template <typename Conv, typename RefForward, typename RefBackward>
 bool CheckConvBytes(Conv* conv, const Tensor& x, Rng* rng,
                     const RefForward& ref_forward,
@@ -323,6 +325,11 @@ bool CheckConvBytes(Conv* conv, const Tensor& x, Rng* rng,
     ExpectSameBytes(conv->Backward(g2), want_gi2, at + " grad_input 2");
     ExpectSameBytes(*conv->Grads()[0], want_gw, at + " grad_weight");
     ExpectSameBytes(*conv->Grads()[1], want_gb, at + " grad_bias");
+    conv->ZeroGrads();
+    conv->BackwardParams(g1);
+    conv->BackwardParams(g2);
+    ExpectSameBytes(*conv->Grads()[0], want_gw, at + " params-only weight");
+    ExpectSameBytes(*conv->Grads()[1], want_gb, at + " params-only bias");
   }
   const bool fanned_out = regions->value() > regions_before;
   SetNumThreads(0);

@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "data/crowd_sim.h"
+#include "data/housing_sim.h"
+#include "data/pdr_sim.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/multi_column.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace tasfar {
 namespace {
@@ -85,6 +92,47 @@ TEST(SequentialTest, BackwardFromOnlyTouchesPrefixGrads) {
   // First Dense touched, second untouched.
   EXPECT_GT(grads[0]->SquaredNorm(), 0.0);
   EXPECT_DOUBLE_EQ(grads[2]->SquaredNorm(), 0.0);
+}
+
+TEST(SequentialTest, BackwardParamsMatchesBackwardOnTheTaskModels) {
+  // BackwardParams skips the first layer's input gradient (a Conv1d, a
+  // MultiColumn of Conv2d columns and a Dense here) and must leave every
+  // parameter gradient byte-identical to Backward's, at any thread count.
+  Rng rng(9);
+  const size_t batch = 16;  // Large enough for the conv regions to fan out.
+  struct Case {
+    std::unique_ptr<Sequential> model;
+    std::vector<size_t> input;
+  };
+  std::vector<Case> cases;
+  cases.push_back({BuildCrowdModel(16, &rng), {batch, 1, 16, 16}});
+  cases.push_back({BuildPdrModel(20, &rng), {batch, 6, 20}});
+  cases.push_back({BuildTabularModel(8, &rng), {batch, 8}});
+  for (Case& c : cases) {
+    const std::string what = c.model->Name();
+    const Tensor x = Tensor::RandomNormal(c.input, &rng);
+    const Tensor y = c.model->Forward(x, /*training=*/true);
+    const Tensor g = Tensor::RandomNormal(y.shape(), &rng);
+    for (size_t threads : {1u, 2u, 8u}) {
+      SetNumThreads(threads);
+      c.model->ZeroGrads();
+      c.model->Backward(g);
+      std::vector<Tensor> want;
+      for (Tensor* grad : c.model->Grads()) want.push_back(*grad);
+      c.model->ZeroGrads();
+      c.model->BackwardParams(g);
+      const std::vector<Tensor*> got = c.model->Grads();
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (size_t i = 0; i < got.size(); ++i) {
+        const Tensor& a = *got[i];
+        const Tensor& b = want[i];
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                  0)
+            << what << " grad " << i << " threads=" << threads;
+      }
+    }
+  }
+  SetNumThreads(0);
 }
 
 TEST(SequentialTest, CloneSequentialMatchesOutputs) {

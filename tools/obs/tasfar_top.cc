@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "sessions_table.h"
 #include "util/parse.h"
 
 namespace {
@@ -82,37 +83,6 @@ std::string MetricValue(const std::string& metrics, const std::string& name) {
   return "0";
 }
 
-struct SessionRow {
-  std::vector<std::string> cols;  ///< Leading fixed columns.
-  std::string reason;             ///< Trailing free-form degraded reason.
-};
-
-/// Fixed columns before the free-form reason (session_manager.cc
-/// SessionsText header).
-constexpr size_t kFixedCols = 11;
-
-bool ParseSessions(const std::string& body, std::vector<SessionRow>* rows) {
-  std::istringstream in(body);
-  std::string line;
-  if (!std::getline(in, line)) return false;  // Header.
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    SessionRow row;
-    std::istringstream fields(line);
-    std::string field;
-    while (row.cols.size() < kFixedCols && fields >> field) {
-      row.cols.push_back(field);
-    }
-    if (row.cols.size() < kFixedCols) return false;
-    std::getline(fields, row.reason);
-    if (!row.reason.empty() && row.reason.front() == ' ') {
-      row.reason.erase(0, 1);
-    }
-    rows->push_back(std::move(row));
-  }
-  return true;
-}
-
 void Render(uint16_t port, bool clear) {
   const std::string metrics = HttpGet(port, "/metrics");
   const std::string sessions = HttpGet(port, "/sessions");
@@ -131,23 +101,23 @@ void Render(uint16_t port, bool clear) {
       MetricValue(metrics, "tasfar_serve_adapt_completed").c_str(),
       MetricValue(metrics, "tasfar_serve_session_degraded").c_str(),
       MetricValue(metrics, "tasfar_serve_flight_dumps").c_str());
-  std::vector<SessionRow> rows;
-  if (!ParseSessions(sessions, &rows)) {
+  // The displayed columns, by their names in the /sessions header.
+  const std::vector<std::string> columns = {
+      "user", "state", "backend", "rows", "budget_pct", "adapt_runs",
+      "last_adapt", "predict_p50_ms", "predict_p99_ms", "degraded_reason"};
+  std::vector<std::vector<std::string>> rows;
+  if (!tasfar::PickSessionColumns(sessions, columns, &rows)) {
     std::printf("(could not parse /sessions)\n");
     return;
   }
-  std::printf("%-16s %-12s %8s %7s %10s %-9s %8s %8s %s\n", "USER", "STATE",
-              "ROWS", "BUDGET%", "ADAPTS", "LAST", "P50ms", "P99ms",
-              "REASON");
-  for (const SessionRow& row : rows) {
-    // Columns: user state rows used budget pct adapt_runs last_adapt
-    //          predict_count p50 p99 (reason trails).
-    std::printf("%-16s %-12s %8s %7s %10s %-9s %8s %8s %s\n",
-                row.cols[0].c_str(), row.cols[1].c_str(),
-                row.cols[2].c_str(), row.cols[5].c_str(),
-                row.cols[6].c_str(), row.cols[7].c_str(),
-                row.cols[9].c_str(), row.cols[10].c_str(),
-                row.reason.c_str());
+  std::printf("%-16s %-12s %-10s %8s %7s %10s %-9s %8s %8s %s\n", "USER",
+              "STATE", "BACKEND", "ROWS", "BUDGET%", "ADAPTS", "LAST",
+              "P50ms", "P99ms", "REASON");
+  for (const std::vector<std::string>& c : rows) {
+    std::printf("%-16s %-12s %-10s %8s %7s %10s %-9s %8s %8s %s\n",
+                c[0].c_str(), c[1].c_str(), c[2].c_str(), c[3].c_str(),
+                c[4].c_str(), c[5].c_str(), c[6].c_str(), c[7].c_str(),
+                c[8].c_str(), c[9].c_str());
   }
   if (rows.empty()) std::printf("(no live sessions)\n");
   std::fflush(stdout);
