@@ -29,8 +29,6 @@ PdrHarnessConfig PaperPdrConfig() {
   cfg.tasfar.adaptation.train.epochs = 100;
   cfg.tasfar.adaptation.train.early_stop_rel_drop = 0.005;
   cfg.tasfar.adaptation.train.patience = 8;
-  cfg.baseline_source_subsample = 1200;
-  cfg.baseline_epochs = 8;
   return cfg;
 }
 
@@ -50,7 +48,6 @@ CrowdHarnessConfig PaperCrowdConfig() {
   cfg.tasfar.adaptation.learning_rate = 5e-3;
   cfg.tasfar.adaptation.train.early_stop_rel_drop = 0.005;
   cfg.tasfar.adaptation.train.patience = 8;
-  cfg.baseline_epochs = 6;
   return cfg;
 }
 

@@ -10,6 +10,13 @@
 
 namespace tasfar {
 
+namespace {
+
+/// Hidden width of the domain discriminator.
+constexpr size_t kDiscriminatorHidden = 16;
+
+}  // namespace
+
 AdvUda::AdvUda(const AdvUdaOptions& options) : options_(options) {
   TASFAR_CHECK(options.learning_rate > 0.0);
   TASFAR_CHECK(options.discriminator_lr > 0.0);
@@ -33,7 +40,7 @@ std::unique_ptr<Sequential> AdvUda::Adapt(const Sequential& source_model,
   const Tensor& ys = *context.source_targets;
   const Tensor& xt = *context.target_inputs;
   const size_t ns = xs.dim(0), nt = xt.dim(0);
-  const size_t batch = std::min({options_.batch_size, ns, nt});
+  const size_t batch = std::min({kUdaBatchSize, ns, nt});
   TASFAR_CHECK(batch > 0);
 
   // Probe the feature width to size the discriminator.
@@ -42,9 +49,9 @@ std::unique_ptr<Sequential> AdvUda::Adapt(const Sequential& source_model,
       model->ForwardTo(GatherFirstDim(xs, probe_idx), cut, false).dim(1);
 
   Sequential discriminator;
-  discriminator.Emplace<Dense>(feat_dim, options_.discriminator_hidden, rng);
+  discriminator.Emplace<Dense>(feat_dim, kDiscriminatorHidden, rng);
   discriminator.Emplace<Relu>();
-  discriminator.Emplace<Dense>(options_.discriminator_hidden, 1, rng);
+  discriminator.Emplace<Dense>(kDiscriminatorHidden, 1, rng);
   discriminator.Emplace<Sigmoid>();
 
   // SGD for the pretrained regressor (Adam drift, see

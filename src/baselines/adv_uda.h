@@ -10,11 +10,9 @@ namespace tasfar {
 struct AdvUdaOptions {
   size_t cut_layer = 0;        ///< Feature extractor = layers [0, cut).
   size_t epochs = 30;
-  size_t batch_size = 32;
   double learning_rate = 5e-4;
   double discriminator_lr = 1e-3;
   double adversarial_weight = 0.5;
-  size_t discriminator_hidden = 16;
 };
 
 /// Adversarial UDA: a domain discriminator (small sigmoid MLP on the

@@ -23,7 +23,7 @@ std::unique_ptr<Sequential> AugfreeUda::Adapt(const Sequential& source_model,
   std::unique_ptr<Sequential> model = source_model.CloneSequential();
   const Tensor& xt = *context.target_inputs;
   const size_t nt = xt.dim(0);
-  const size_t batch = std::min(options_.batch_size, nt);
+  const size_t batch = std::min(kUdaBatchSize, nt);
   TASFAR_CHECK(batch > 0);
 
   // Global input std of the target set drives the perturbation magnitude.

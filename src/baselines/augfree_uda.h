@@ -11,7 +11,6 @@ namespace tasfar {
 /// perturbation as the augmentation.
 struct AugfreeUdaOptions {
   size_t epochs = 20;
-  size_t batch_size = 32;
   double learning_rate = 5e-4;
   /// Perturbation magnitude relative to the per-feature standard
   /// deviation of the target batch ("variance perturbation").

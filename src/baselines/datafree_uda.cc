@@ -10,6 +10,9 @@ namespace tasfar {
 
 namespace {
 
+/// Mini-batch size of the histogram-matching steps.
+constexpr size_t kBatchSize = 64;
+
 /// Softmax memberships of one value over the reference bins, plus (when
 /// `grad_logits` != nullptr) d membership / d value.
 void SoftMembership(double value, const SoftHistogram& ref,
@@ -128,7 +131,7 @@ std::unique_ptr<Sequential> DatafreeUda::AdaptWithStats(
   const size_t cut = stats.cut_layer;
   TASFAR_CHECK(cut > 0 && cut < model->NumLayers());
   const size_t nt = target_inputs.dim(0);
-  const size_t batch = std::min(options_.batch_size, nt);
+  const size_t batch = std::min(kBatchSize, nt);
   TASFAR_CHECK(batch > 0);
 
   // SGD: fine-tuning from a trained optimum (see AdaptationTrainConfig).

@@ -28,7 +28,6 @@ struct DatafreeUdaOptions {
   size_t cut_layer = 0;
   size_t num_bins = 16;
   size_t epochs = 30;
-  size_t batch_size = 64;
   double learning_rate = 5e-4;
 };
 

@@ -1,6 +1,7 @@
 #include "baselines/mmd_uda.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "nn/loss.h"
@@ -11,6 +12,10 @@
 namespace tasfar {
 
 namespace {
+
+/// RBF bandwidth multipliers around the median pairwise distance
+/// (multi-kernel MMD).
+constexpr std::array<double, 3> kBandwidthMultipliers{0.5, 1.0, 2.0};
 
 double SquaredRowDistance(const Tensor& a, size_t i, const Tensor& b,
                           size_t j) {
@@ -114,7 +119,6 @@ Tensor MmdGradTarget(const Tensor& feat_a, const Tensor& feat_b,
 
 MmdUda::MmdUda(const MmdUdaOptions& options) : options_(options) {
   TASFAR_CHECK(options.learning_rate > 0.0);
-  TASFAR_CHECK(!options.bandwidth_multipliers.empty());
 }
 
 std::unique_ptr<Sequential> MmdUda::Adapt(const Sequential& source_model,
@@ -134,7 +138,7 @@ std::unique_ptr<Sequential> MmdUda::Adapt(const Sequential& source_model,
   const Tensor& ys = *context.source_targets;
   const Tensor& xt = *context.target_inputs;
   const size_t ns = xs.dim(0), nt = xt.dim(0);
-  const size_t batch = std::min({options_.batch_size, ns, nt});
+  const size_t batch = std::min({kUdaBatchSize, ns, nt});
   TASFAR_CHECK(batch > 0);
 
   // SGD: fine-tuning from a trained optimum (see AdaptationTrainConfig —
@@ -161,18 +165,17 @@ std::unique_ptr<Sequential> MmdUda::Adapt(const Sequential& source_model,
       model->BackwardParams(grad);
       optimizer.Step(model->Params(), model->Grads());
 
-      // (b) Alignment step: pull target features toward the detached
-      // source feature batch under multi-kernel MMD.
+      // (b) Alignment step, at unit weight: pull target features toward
+      // the detached source feature batch under multi-kernel MMD.
       Tensor feat_s = model->ForwardTo(xs_b, cut, /*training=*/false);
       Tensor feat_t = model->ForwardTo(xt_b, cut, /*training=*/true);
       const double med = MedianPairwiseDistance(feat_s, feat_t);
       std::vector<double> bandwidths;
-      bandwidths.reserve(options_.bandwidth_multipliers.size());
-      for (double mult : options_.bandwidth_multipliers) {
+      bandwidths.reserve(kBandwidthMultipliers.size());
+      for (double mult : kBandwidthMultipliers) {
         bandwidths.push_back(mult * med);
       }
       Tensor mmd_grad = MmdGradTarget(feat_s, feat_t, bandwidths);
-      mmd_grad *= options_.mmd_weight;
       model->ZeroGrads();
       model->BackwardFrom(mmd_grad, cut);
       optimizer.Step(model->Params(), model->Grads());

@@ -12,12 +12,7 @@ namespace tasfar {
 struct MmdUdaOptions {
   size_t cut_layer = 0;     ///< Feature extractor = layers [0, cut_layer).
   size_t epochs = 30;
-  size_t batch_size = 32;
   double learning_rate = 5e-4;
-  double mmd_weight = 1.0;      ///< Weight of the alignment loss.
-  /// RBF bandwidth multipliers around the median pairwise distance
-  /// (multi-kernel MMD).
-  std::vector<double> bandwidth_multipliers{0.5, 1.0, 2.0};
 };
 
 /// Squared multi-kernel RBF MMD between two rank-2 feature batches.

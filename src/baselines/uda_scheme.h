@@ -19,6 +19,10 @@ struct UdaContext {
   const Tensor* target_inputs = nullptr;  ///< Unlabeled.
 };
 
+/// Mini-batch size of every scheme's training steps except Datafree's,
+/// capped by the rows available.
+inline constexpr size_t kUdaBatchSize = 32;
+
 /// Interface shared by the comparison schemes so the benches can sweep
 /// them uniformly. Each scheme adapts a *clone* of the source model and
 /// leaves the original untouched.

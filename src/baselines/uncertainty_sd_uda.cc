@@ -12,7 +12,6 @@ namespace tasfar {
 UncertaintySdUda::UncertaintySdUda(const UncertaintySdUdaOptions& options)
     : options_(options) {
   TASFAR_CHECK(options.learning_rate > 0.0);
-  TASFAR_CHECK(options.batch_size > 0);
 }
 
 std::unique_ptr<Sequential> UncertaintySdUda::Adapt(
@@ -57,7 +56,7 @@ std::unique_ptr<Sequential> UncertaintySdUda::Adapt(
     weights[i] = mean_u <= 0.0 ? 1.0 : 1.0 / (1.0 + uncertainty[i] / mean_u);
   }
 
-  const size_t batch = std::min(options_.batch_size, nt);
+  const size_t batch = std::min(kUdaBatchSize, nt);
   // SGD: fine-tuning from a trained optimum (see AdaptationTrainConfig).
   Sgd optimizer(options_.learning_rate, /*momentum=*/0.9);
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {

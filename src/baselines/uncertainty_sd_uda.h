@@ -11,7 +11,6 @@ namespace tasfar {
 /// arXiv:2208.07591, transplanted from classification to regression).
 struct UncertaintySdUdaOptions {
   size_t epochs = 20;
-  size_t batch_size = 32;
   double learning_rate = 5e-4;
   /// Backend/sample-count knobs of the uncertainty pass (the scheme is
   /// estimator-agnostic, like TASFAR itself).

@@ -9,11 +9,16 @@
 
 namespace tasfar {
 
+namespace {
+
+/// Fraction of the target set retained for self-training — the
+/// lowest-uncertainty rows.
+constexpr double kKeepFraction = 0.5;
+
+}  // namespace
+
 UplUda::UplUda(const UplUdaOptions& options) : options_(options) {
   TASFAR_CHECK(options.learning_rate > 0.0);
-  TASFAR_CHECK(options.batch_size > 0);
-  TASFAR_CHECK_MSG(options.keep_fraction > 0.0 && options.keep_fraction <= 1.0,
-                   "keep_fraction must be in (0, 1]");
 }
 
 std::unique_ptr<Sequential> UplUda::Adapt(const Sequential& source_model,
@@ -33,7 +38,7 @@ std::unique_ptr<Sequential> UplUda::Adapt(const Sequential& source_model,
   const size_t out_dim = preds[0].mean.size();
 
   // Rank the finite rows by uncertainty; keep the most confident
-  // keep_fraction of them (at least one).
+  // kKeepFraction of them (at least one).
   std::vector<size_t> usable;
   usable.reserve(nt);
   for (size_t i = 0; i < nt; ++i) {
@@ -46,7 +51,7 @@ std::unique_ptr<Sequential> UplUda::Adapt(const Sequential& source_model,
     return preds[a].ScalarUncertainty() < preds[b].ScalarUncertainty();
   });
   const size_t kept = std::max<size_t>(
-      1, static_cast<size_t>(options_.keep_fraction *
+      1, static_cast<size_t>(kKeepFraction *
                              static_cast<double>(usable.size())));
   usable.resize(kept);
 
@@ -58,7 +63,7 @@ std::unique_ptr<Sequential> UplUda::Adapt(const Sequential& source_model,
     }
   }
 
-  const size_t batch = std::min(options_.batch_size, kept);
+  const size_t batch = std::min(kUdaBatchSize, kept);
   // SGD: fine-tuning from a trained optimum (see AdaptationTrainConfig).
   Sgd optimizer(options_.learning_rate, /*momentum=*/0.9);
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {

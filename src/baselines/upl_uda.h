@@ -11,11 +11,7 @@ namespace tasfar {
 /// Domain Adaptation", arXiv:2403.11256, transplanted to regression).
 struct UplUdaOptions {
   size_t epochs = 20;
-  size_t batch_size = 32;
   double learning_rate = 5e-4;
-  /// Fraction of the target set retained for self-training — the
-  /// lowest-uncertainty rows. Must be in (0, 1].
-  double keep_fraction = 0.5;
   /// Backend/sample-count knobs of the uncertainty pass.
   EstimatorConfig estimator;
 };

@@ -9,6 +9,11 @@
 
 namespace tasfar {
 
+/// Axis margin of the label density map beyond the confident predictions,
+/// in spreads σ: the AutoAxes default that Tasfar::Adapt and the PDR
+/// harness build their maps with.
+inline constexpr double kGridMarginSigmas = 3.0;
+
 /// The label distribution estimator of Algorithm 2: accumulates the
 /// instance-label distributions of the confident predictions into a label
 /// density map. For each confident prediction, the per-dimension spread is
@@ -33,9 +38,9 @@ class LabelDistributionEstimator {
 
   /// Chooses axes covering all confident predictions ± `margin_sigmas`
   /// spreads, one axis per label dimension, with the given cell size.
-  std::vector<GridSpec> AutoAxes(const std::vector<McPrediction>& confident,
-                                 double cell_size,
-                                 double margin_sigmas = 3.0) const;
+  std::vector<GridSpec> AutoAxes(
+      const std::vector<McPrediction>& confident, double cell_size,
+      double margin_sigmas = kGridMarginSigmas) const;
 
   /// σ for one prediction and dimension (exposed for the generator/tests).
   double SigmaFor(const McPrediction& pred, size_t dim) const;

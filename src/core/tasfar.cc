@@ -33,6 +33,22 @@ bool FinitePseudoLabel(const PseudoLabel& label) {
 
 }  // namespace
 
+std::vector<UncertaintyErrorPair> CalibrationPairs(
+    const std::vector<McPrediction>& predictions, const Tensor& targets,
+    size_t dim) {
+  std::vector<UncertaintyErrorPair> pairs;
+  pairs.reserve(predictions.size());
+  for (size_t i = 0; i < predictions.size(); ++i) {
+    if (!FinitePrediction(predictions[i]) ||
+        !std::isfinite(targets.At(i, dim))) {
+      continue;
+    }
+    pairs.push_back({predictions[i].std[dim],
+                     predictions[i].mean[dim] - targets.At(i, dim)});
+  }
+  return pairs;
+}
+
 EstimatorConfig EstimatorConfigFromOptions(const TasfarOptions& options) {
   EstimatorConfig config;
   config.backend = options.uncertainty_backend;
@@ -96,16 +112,8 @@ SourceCalibration Tasfar::CalibrateFromPredictions(
 
   calib.qs_per_dim.reserve(dims);
   for (size_t d = 0; d < dims; ++d) {
-    std::vector<UncertaintyErrorPair> pairs;
-    pairs.reserve(preds.size());
-    for (size_t i = 0; i < preds.size(); ++i) {
-      if (!FinitePrediction(preds[i]) ||
-          !std::isfinite(source_targets.At(i, d))) {
-        continue;
-      }
-      pairs.push_back({preds[i].std[d],
-                       preds[i].mean[d] - source_targets.At(i, d)});
-    }
+    std::vector<UncertaintyErrorPair> pairs =
+        CalibrationPairs(preds, source_targets, d);
     if (pairs.empty()) {
       // Default QsModel: zero line clamped at sigma_min — proper but
       // uninformative, matching the degenerate τ above.
@@ -225,8 +233,8 @@ TasfarReport Tasfar::AdaptWithPredictions(
   // 2. Label distribution estimation (Alg. 2).
   LabelDistributionEstimator estimator(calibration.qs_per_dim,
                                        kTasfarErrorModel);
-  std::vector<GridSpec> axes = estimator.AutoAxes(
-      confident_preds, options_.grid_cell_size, kGridMarginSigmas);
+  std::vector<GridSpec> axes =
+      estimator.AutoAxes(confident_preds, options_.grid_cell_size);
   report.density_map.emplace(estimator.Estimate(confident_preds, axes,
                                                 &report.density_mean_sigma));
   const double mass = report.density_map->TotalMass();

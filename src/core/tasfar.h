@@ -21,10 +21,6 @@ namespace tasfar {
 /// harness's component-level evaluations both build their density maps
 /// with it.
 inline constexpr ErrorModelKind kTasfarErrorModel = ErrorModelKind::kGaussian;
-/// Axis margin of the label density map beyond the confident predictions,
-/// in spreads σ (LabelDistributionEstimator::AutoAxes); shared like
-/// kTasfarErrorModel.
-inline constexpr double kGridMarginSigmas = 3.0;
 
 /// End-to-end configuration of TASFAR. Defaults follow the paper's
 /// experimental section: MC dropout with 20 samples, η = 0.9, q = 40
@@ -56,6 +52,14 @@ struct SourceCalibration {
   double tau = 0.0;
   std::vector<QsModel> qs_per_dim;
 };
+
+/// The (uncertainty, error) pairs Q_s is fitted on for label dimension
+/// `dim` (Eq. 7): std[dim] and mean[dim] − label of every row whose
+/// prediction and label are finite, in row order. A poisoned pass must not
+/// reach the segment sort or the fit.
+std::vector<UncertaintyErrorPair> CalibrationPairs(
+    const std::vector<McPrediction>& predictions, const Tensor& targets,
+    size_t dim);
 
 /// Diagnostics and artifacts of one adaptation run.
 struct TasfarReport {

@@ -183,8 +183,7 @@ Dataset CrowdSimulator::GeneratePartB() {
                      config_.image_size);
 }
 
-std::unique_ptr<Sequential> BuildCrowdModel(size_t image_size, Rng* rng,
-                                            double dropout_rate) {
+std::unique_ptr<Sequential> BuildCrowdModel(size_t image_size, Rng* rng) {
   TASFAR_CHECK(rng != nullptr);
   TASFAR_CHECK(image_size % 2 == 0);
   auto column = [&](size_t kernel, size_t pad) {
@@ -203,10 +202,10 @@ std::unique_ptr<Sequential> BuildCrowdModel(size_t image_size, Rng* rng,
   columns->AddBranch(column(7, 3));  // Large (near people).
   auto model = std::make_unique<Sequential>();
   model->Add(std::move(columns));
-  model->Emplace<Dropout>(dropout_rate, /*seed=*/rng->NextU64());
+  model->Emplace<Dropout>(kModelDropoutRate, /*seed=*/rng->NextU64());
   model->Emplace<Dense>(24, 32, rng);
   model->Emplace<Relu>();
-  model->Emplace<Dropout>(dropout_rate, /*seed=*/rng->NextU64());
+  model->Emplace<Dropout>(kModelDropoutRate, /*seed=*/rng->NextU64());
   model->Emplace<Dense>(32, 1, rng);
   return model;
 }

@@ -21,7 +21,6 @@ struct CrowdSimConfig {
   size_t part_a_images = 482;
   size_t part_b_images = 716;
   size_t num_scenes_b = 3;
-  double adaptation_fraction = 0.8;
 };
 
 /// Appearance + crowd-level parameters of one scene.
@@ -79,8 +78,7 @@ class CrowdSimulator {
 /// Builds the multi-column CNN counter (three conv columns with different
 /// receptive fields, fused into a dropout MLP head), analogous in role to
 /// the paper's MCNN baseline. Output: {batch, 1} count.
-std::unique_ptr<Sequential> BuildCrowdModel(size_t image_size, Rng* rng,
-                                            double dropout_rate = 0.2);
+std::unique_ptr<Sequential> BuildCrowdModel(size_t image_size, Rng* rng);
 
 }  // namespace tasfar
 

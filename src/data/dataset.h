@@ -48,6 +48,20 @@ struct SplitResult {
 SplitResult SplitFraction(const Dataset& ds, double first_fraction,
                           bool shuffle, Rng* rng);
 
+/// Split fractions of the experiment protocol, shared by every task. Each
+/// target scenario adapts on this share of its data (its trajectories for
+/// PDR) and tests on the rest.
+inline constexpr double kAdaptationFraction = 0.8;
+/// Share of the source data held out to calibrate τ and Q_s.
+inline constexpr double kCalibrationFraction = 0.25;
+/// Dropout rate of the task models' stochastic layers (BuildPdrModel,
+/// BuildCrowdModel, BuildTabularModel), in training and MC sampling: the
+/// paper's 0.2.
+inline constexpr double kModelDropoutRate = 0.2;
+/// Adam learning rate with which the eval harnesses train each task's
+/// source model (in batches of TrainConfig's default 32).
+inline constexpr double kSourceLearningRate = 1e-3;
+
 /// Per-feature standardization (z-score) fitted on one dataset and applied
 /// to others — fitted on source data and shipped with the source model, as
 /// a deployed regressor would.

@@ -11,12 +11,22 @@
 
 namespace tasfar {
 
+namespace {
+
+/// Idiosyncratic price noise (in 100k$).
+constexpr double kNoiseStd = 0.18;
+/// Probability that a listing's records are anomalous (corrupted feature
+/// values while the price reflects the true property). Rare in the inland
+/// source region, common among the heterogeneous coastal vacation/rental
+/// listings — the heterogeneous part of the domain gap.
+constexpr double kSourceAnomalyProb = 0.04;
+constexpr double kTargetAnomalyProb = 0.30;
+
+}  // namespace
+
 HousingSimulator::HousingSimulator(const HousingSimConfig& config,
                                    uint64_t seed)
-    : config_(config), seed_(seed) {
-  TASFAR_CHECK(config.coastal_threshold > 0.0 &&
-               config.coastal_threshold < 1.0);
-}
+    : config_(config), seed_(seed) {}
 
 void HousingSimulator::SampleRow(bool coastal, Rng* rng, double* features,
                                  double* price) {
@@ -24,7 +34,7 @@ void HousingSimulator::SampleRow(bool coastal, Rng* rng, double* features,
   // its static features sit at the edge of the source support (so clean
   // coastal rows stay predictable), its prices cluster at the coastal
   // level, and the anomalous listings carry the bulk of the model error.
-  const double t = config_.coastal_threshold;
+  const double t = kCoastalThreshold;
   const double coast_distance =
       coastal ? rng->Uniform(0.72 * t, t) : rng->Uniform(t, 1.0);
   const double latitude_band = rng->Uniform(0.0, 1.0);
@@ -61,7 +71,7 @@ void HousingSimulator::SampleRow(bool coastal, Rng* rng, double* features,
   // (because the corrupted values are off-distribution) is uncertain
   // about them, so the coastal price distribution can correct it.
   const bool anomaly = rng->Bernoulli(
-      coastal ? config_.target_anomaly_prob : config_.source_anomaly_prob);
+      coastal ? kTargetAnomalyProb : kSourceAnomalyProb);
   if (anomaly) {
     features[kMedianIncome] =
         std::clamp(income * rng->Uniform(0.2, 3.0), 0.5, 14.0);
@@ -83,7 +93,7 @@ void HousingSimulator::SampleRow(bool coastal, Rng* rng, double* features,
   value += 0.5 * std::exp(-4.0 * coast_distance);  // Coastal premium.
   value += 0.8 * ocean_view;
   value += 0.35 * income * std::exp(-3.0 * coast_distance) / 5.0;
-  value += rng->Normal(0.0, config_.noise_std);
+  value += rng->Normal(0.0, kNoiseStd);
   *price = std::clamp(value, 0.2, 12.0);
 }
 
@@ -123,16 +133,15 @@ Dataset HousingSimulator::GenerateTarget() {
       &rng);
 }
 
-std::unique_ptr<Sequential> BuildTabularModel(size_t num_features, Rng* rng,
-                                              double dropout_rate) {
+std::unique_ptr<Sequential> BuildTabularModel(size_t num_features, Rng* rng) {
   TASFAR_CHECK(rng != nullptr);
   auto model = std::make_unique<Sequential>();
   model->Emplace<Dense>(num_features, 48, rng);
   model->Emplace<Relu>();
-  model->Emplace<Dropout>(dropout_rate, /*seed=*/rng->NextU64());
+  model->Emplace<Dropout>(kModelDropoutRate, /*seed=*/rng->NextU64());
   model->Emplace<Dense>(48, 24, rng);
   model->Emplace<Relu>();
-  model->Emplace<Dropout>(dropout_rate, /*seed=*/rng->NextU64());
+  model->Emplace<Dropout>(kModelDropoutRate, /*seed=*/rng->NextU64());
   model->Emplace<Dense>(24, 1, rng);
   return model;
 }

@@ -18,16 +18,10 @@ class Sequential;
 struct HousingSimConfig {
   size_t source_samples = 4000;
   size_t target_samples = 2000;
-  /// Districts with coast_distance below this are "coastal" (target).
-  double coastal_threshold = 0.3;
-  double noise_std = 0.18;  ///< Idiosyncratic price noise (in 100k$).
-  /// Probability that a listing's records are anomalous (corrupted
-  /// feature values while the price reflects the true property). Rare in
-  /// the inland source region, common among the heterogeneous coastal
-  /// vacation/rental listings — the heterogeneous part of the domain gap.
-  double source_anomaly_prob = 0.04;
-  double target_anomaly_prob = 0.30;
 };
+
+/// Districts with coast_distance below this are "coastal" (target).
+inline constexpr double kCoastalThreshold = 0.3;
 
 /// Feature layout of the housing rows (8 features).
 enum HousingFeature {
@@ -69,8 +63,7 @@ class HousingSimulator {
 
 /// MLP regressor for the tabular tasks (the paper uses an MLP baseline for
 /// both prediction tasks). Output: {batch, 1}.
-std::unique_ptr<Sequential> BuildTabularModel(size_t num_features, Rng* rng,
-                                              double dropout_rate = 0.2);
+std::unique_ptr<Sequential> BuildTabularModel(size_t num_features, Rng* rng);
 
 }  // namespace tasfar
 

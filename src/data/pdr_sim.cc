@@ -192,7 +192,7 @@ std::vector<PdrUserData> PdrSimulator::GenerateTargetUsers() {
     }
     const size_t num_adapt = std::max<size_t>(
         1, static_cast<size_t>(std::llround(
-               config_.adaptation_fraction * static_cast<double>(num_traj))));
+               kAdaptationFraction * static_cast<double>(num_traj))));
     for (size_t t = 0; t < all.size(); ++t) {
       if (t < num_adapt && t + 1 < all.size()) {
         data.adaptation.push_back(std::move(all[t]));
@@ -217,8 +217,7 @@ std::vector<PdrUserData> PdrSimulator::GenerateTargetUsers() {
   return users;
 }
 
-std::unique_ptr<Sequential> BuildPdrModel(size_t window_len, Rng* rng,
-                                          double dropout_rate) {
+std::unique_ptr<Sequential> BuildPdrModel(size_t window_len, Rng* rng) {
   TASFAR_CHECK(rng != nullptr);
   auto model = std::make_unique<Sequential>();
   // TCN-style backbone: two dilated temporal convolutions.
@@ -228,10 +227,10 @@ std::unique_ptr<Sequential> BuildPdrModel(size_t window_len, Rng* rng,
                          /*dilation=*/2);
   model->Emplace<Relu>();
   model->Emplace<Flatten>();
-  model->Emplace<Dropout>(dropout_rate, /*seed=*/rng->NextU64());
+  model->Emplace<Dropout>(kModelDropoutRate, /*seed=*/rng->NextU64());
   model->Emplace<Dense>(16 * window_len, 64, rng);
   model->Emplace<Relu>();
-  model->Emplace<Dropout>(dropout_rate, /*seed=*/rng->NextU64());
+  model->Emplace<Dropout>(kModelDropoutRate, /*seed=*/rng->NextU64());
   model->Emplace<Dense>(64, 2, rng);
   return model;
 }

@@ -59,7 +59,6 @@ struct PdrSimConfig {
   size_t target_trajectories_seen = 5;
   size_t target_trajectories_unseen = 10;
   size_t steps_per_trajectory = 40;  ///< ~50 m per trajectory.
-  double adaptation_fraction = 0.8;
 };
 
 /// Deterministic generator for the PDR task.
@@ -105,8 +104,7 @@ class PdrSimulator {
 /// analogous in role to the paper's RoNIN baseline. Output: {batch, 2}.
 /// All stochastic layers use `rng`/fixed seeds so construction is
 /// reproducible.
-std::unique_ptr<class Sequential> BuildPdrModel(size_t window_len, Rng* rng,
-                                                double dropout_rate = 0.2);
+std::unique_ptr<class Sequential> BuildPdrModel(size_t window_len, Rng* rng);
 
 }  // namespace tasfar
 

@@ -6,6 +6,19 @@
 
 namespace tasfar {
 
+namespace {
+
+constexpr double kNoiseLogStd = 0.10;  ///< Log-duration noise.
+/// Probability of a GPS glitch corrupting the recorded trip vector
+/// (urban-canyon multipath): none in the open outer boroughs, common
+/// between Manhattan's high-rises. The duration still reflects the true
+/// trip, so glitched rows are exactly the high-error, high-uncertainty
+/// inputs the duration prior can fix.
+constexpr double kSourceGlitchProb = 0.0;
+constexpr double kTargetGlitchProb = 0.30;
+
+}  // namespace
+
 TaxiSimulator::TaxiSimulator(const TaxiSimConfig& config, uint64_t seed)
     : config_(config), seed_(seed) {}
 
@@ -33,7 +46,7 @@ void TaxiSimulator::SampleRow(bool manhattan, Rng* rng, double* features,
   // GPS glitch: the *recorded* trip vector is corrupted by multipath
   // while the duration below is computed from the true trip.
   const bool glitch = rng->Bernoulli(
-      manhattan ? config_.target_glitch_prob : config_.source_glitch_prob);
+      manhattan ? kTargetGlitchProb : kSourceGlitchProb);
   // Multipath inflates the recorded vector far past plausible trip
   // lengths, which is what makes glitched rows detectable as uncertain.
   const double rec_dx =
@@ -68,7 +81,7 @@ void TaxiSimulator::SampleRow(bool manhattan, Rng* rng, double* features,
   const double distance = std::sqrt(dx * dx + dy * dy) + 0.01;
   const double wait = 2.0;  // Lights + pickup friction.
   double minutes = distance / speed + wait;
-  minutes *= std::exp(rng->Normal(0.0, config_.noise_log_std));
+  minutes *= std::exp(rng->Normal(0.0, kNoiseLogStd));
   *duration = std::clamp(minutes, 1.0, 180.0);
 }
 

@@ -17,14 +17,6 @@ class Sequential;
 struct TaxiSimConfig {
   size_t source_samples = 4000;
   size_t target_samples = 2000;
-  double noise_log_std = 0.10;  ///< Log-duration noise.
-  /// Probability of a GPS glitch corrupting the recorded trip vector
-  /// (urban-canyon multipath): rare in the open outer boroughs, common
-  /// between Manhattan's high-rises. The duration still reflects the true
-  /// trip, so glitched rows are exactly the high-error, high-uncertainty
-  /// inputs the duration prior can fix.
-  double source_glitch_prob = 0.0;
-  double target_glitch_prob = 0.30;
 };
 
 /// Feature layout of the taxi rows (8 features).

@@ -28,17 +28,17 @@ void CrowdHarness::Prepare() {
   Rng rng(config_.seed ^ 0x5c0ffeeULL);
 
   Dataset part_a = simulator_->GeneratePartA();
-  if (config_.log_counts) {
-    part_a.targets.MapInPlace([](double y) { return std::log1p(y); });
-  }
-  SplitResult split = SplitFraction(part_a,
-                                    1.0 - config_.calibration_fraction,
+  // The counter regresses log1p(count) (metrics stay in raw counts), which
+  // keeps the MC-dropout uncertainty scale comparable between the dense
+  // Part-A images and the sparser Part-B sites.
+  part_a.targets.MapInPlace([](double y) { return std::log1p(y); });
+  SplitResult split = SplitFraction(part_a, 1.0 - kCalibrationFraction,
                                     /*shuffle=*/true, &rng);
   source_train_ = std::move(split.first);
   source_calib_ = std::move(split.second);
 
   source_model_ = BuildCrowdModel(config_.sim.image_size, &rng);
-  Adam optimizer(config_.source_lr);
+  Adam optimizer(kSourceLearningRate);
   Trainer trainer(source_model_.get(), &optimizer,
                   [](const Tensor& p, const Tensor& t, Tensor* g,
                      const std::vector<double>* w) {
@@ -46,11 +46,10 @@ void CrowdHarness::Prepare() {
                   });
   TrainConfig tc;
   tc.epochs = config_.source_epochs;
-  tc.batch_size = config_.source_batch;
   trainer.Fit(source_train_.inputs, source_train_.targets, tc, &rng);
   // Cool-down phase (see PdrHarness): squeeze out the optimization noise
   // so the confidence threshold reflects genuine uncertainty.
-  optimizer.set_learning_rate(config_.source_lr / 5.0);
+  optimizer.set_learning_rate(kSourceLearningRate / 5.0);
   tc.epochs = config_.source_epochs / 2;
   trainer.Fit(source_train_.inputs, source_train_.targets, tc, &rng);
 
@@ -65,13 +64,12 @@ void CrowdHarness::Prepare() {
 namespace {
 
 CrowdSceneData MakeSceneData(int scene_id, const Dataset& data,
-                             double adapt_fraction, Sequential* model,
-                             const TasfarOptions& opts, double tau,
-                             Rng* rng) {
+                             Sequential* model, const TasfarOptions& opts,
+                             double tau, Rng* rng) {
   CrowdSceneData scene;
   scene.scene_id = scene_id;
-  SplitResult split = SplitFraction(data, adapt_fraction, /*shuffle=*/true,
-                                    rng);
+  SplitResult split = SplitFraction(data, kAdaptationFraction,
+                                    /*shuffle=*/true, rng);
   scene.adapt = std::move(split.first);
   scene.test = std::move(split.second);
   std::unique_ptr<UncertaintyEstimator> predictor =
@@ -91,10 +89,8 @@ std::vector<CrowdSceneData> CrowdHarness::BuildScenes() const {
   std::vector<CrowdSceneData> scenes;
   for (int scene_id : DistinctGroups(part_b_)) {
     Dataset data = FilterByGroup(part_b_, scene_id);
-    scenes.push_back(MakeSceneData(scene_id, data,
-                                   config_.sim.adaptation_fraction,
-                                   source_model_.get(), config_.tasfar,
-                                   calibration_.tau, &rng));
+    scenes.push_back(MakeSceneData(scene_id, data, source_model_.get(),
+                                   config_.tasfar, calibration_.tau, &rng));
   }
   return scenes;
 }
@@ -103,13 +99,11 @@ CrowdSceneData CrowdHarness::BuildPooledScene() const {
   TASFAR_CHECK(prepared_);
   // TASFAR_ANALYZE_ALLOW(seed-discipline): pre-MixSeed stream split, pinned: reseeding would shift every EXPERIMENTS.md baseline number.
   Rng rng(config_.seed ^ 0xd1ce6ULL);
-  return MakeSceneData(-1, part_b_, config_.sim.adaptation_fraction,
-                       source_model_.get(), config_.tasfar,
+  return MakeSceneData(-1, part_b_, source_model_.get(), config_.tasfar,
                        calibration_.tau, &rng);
 }
 
 Tensor CrowdHarness::ToCounts(const Tensor& model_output) const {
-  if (!config_.log_counts) return model_output;
   return model_output.Map(
       [](double y) { return std::max(0.0, std::expm1(y)); });
 }
@@ -121,13 +115,6 @@ CrowdEval CrowdHarness::Evaluate(Sequential* model,
   Tensor adapt_pred = ToCounts(BatchedForward(model, scene.adapt.inputs));
   eval.mae_adapt_whole = metrics::Mae(adapt_pred, scene.adapt.targets);
   eval.mse_adapt_whole = metrics::Rmse(adapt_pred, scene.adapt.targets);
-  if (!scene.uncertain_indices.empty()) {
-    Tensor unc_pred = GatherFirstDim(adapt_pred, scene.uncertain_indices);
-    Tensor unc_truth =
-        GatherFirstDim(scene.adapt.targets, scene.uncertain_indices);
-    eval.mae_adapt_uncertain = metrics::Mae(unc_pred, unc_truth);
-    eval.mse_adapt_uncertain = metrics::Rmse(unc_pred, unc_truth);
-  }
   Tensor test_pred = ToCounts(BatchedForward(model, scene.test.inputs));
   eval.mae_test = metrics::Mae(test_pred, scene.test.targets);
   eval.mse_test = metrics::Rmse(test_pred, scene.test.targets);

@@ -1,6 +1,5 @@
 #include "eval/pdr_harness.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nn/loss.h"
@@ -28,14 +27,13 @@ void PdrHarness::Prepare() {
   Rng rng(config_.seed ^ 0xabcdef12345ULL);
 
   Dataset source = simulator_->GenerateSourceDataset();
-  SplitResult split = SplitFraction(source, 1.0 - config_.calibration_fraction,
+  SplitResult split = SplitFraction(source, 1.0 - kCalibrationFraction,
                                     /*shuffle=*/true, &rng);
   source_train_ = std::move(split.first);
   source_calib_ = std::move(split.second);
 
-  source_model_ = BuildPdrModel(config_.sim.window_len, &rng,
-                                config_.dropout_rate);
-  Adam optimizer(config_.source_lr);
+  source_model_ = BuildPdrModel(config_.sim.window_len, &rng);
+  Adam optimizer(kSourceLearningRate);
   Trainer trainer(source_model_.get(), &optimizer,
                   [](const Tensor& p, const Tensor& t, Tensor* g,
                      const std::vector<double>* w) {
@@ -43,17 +41,15 @@ void PdrHarness::Prepare() {
                   });
   TrainConfig tc;
   tc.epochs = config_.source_epochs;
-  tc.batch_size = config_.source_batch;
   trainer.Fit(source_train_.inputs, source_train_.targets, tc, &rng);
   // Cool-down phase at a fifth of the learning rate: the per-window noise
   // floor of the simulator is low, so the extra fitting precision directly
   // widens the confident/uncertain error contrast TASFAR relies on.
-  optimizer.set_learning_rate(config_.source_lr / 5.0);
+  optimizer.set_learning_rate(kSourceLearningRate / 5.0);
   tc.epochs = config_.source_epochs / 2;
   trainer.Fit(source_train_.inputs, source_train_.targets, tc, &rng);
 
   // Source-side MC predictions, cached for calibration re-use.
-  Tasfar tasfar(config_.tasfar);
   std::unique_ptr<UncertaintyEstimator> predictor = MakeEstimator(
       source_model_.get(), EstimatorConfigFromOptions(config_.tasfar));
   source_calib_preds_ = predictor->Predict(source_calib_.inputs);
@@ -69,40 +65,20 @@ void PdrHarness::Prepare() {
 SourceCalibration PdrHarness::CalibrateWith(double eta,
                                             size_t num_segments) const {
   TASFAR_CHECK(!source_calib_preds_.empty());
-  SourceCalibration calib;
-  std::vector<double> uncertainties;
-  uncertainties.reserve(source_calib_preds_.size());
-  for (const McPrediction& p : source_calib_preds_) {
-    uncertainties.push_back(p.ScalarUncertainty());
-  }
-  calib.tau = ConfidenceClassifier::ComputeThreshold(uncertainties, eta);
-  const size_t dims = source_calib_.label_dim();
-  for (size_t d = 0; d < dims; ++d) {
-    std::vector<UncertaintyErrorPair> pairs;
-    pairs.reserve(source_calib_preds_.size());
-    for (size_t i = 0; i < source_calib_preds_.size(); ++i) {
-      pairs.push_back({source_calib_preds_[i].std[d],
-                       source_calib_preds_[i].mean[d] -
-                           source_calib_.targets.At(i, d)});
-    }
-    const size_t q = std::min(num_segments, pairs.size());
-    calib.qs_per_dim.push_back(QsCalibrator::Fit(std::move(pairs), q));
-  }
-  return calib;
+  TasfarOptions options = config_.tasfar;
+  options.eta = eta;
+  options.num_segments = num_segments;
+  return Tasfar(options).CalibrateFromPredictions(source_calib_preds_,
+                                                  source_calib_.targets);
 }
 
 std::vector<SegmentStats> PdrHarness::UncertaintySegments(
     size_t dim, size_t num_segments) const {
   TASFAR_CHECK(!source_calib_preds_.empty());
   TASFAR_CHECK(dim < source_calib_.label_dim());
-  std::vector<UncertaintyErrorPair> pairs;
-  pairs.reserve(source_calib_preds_.size());
-  for (size_t i = 0; i < source_calib_preds_.size(); ++i) {
-    pairs.push_back({source_calib_preds_[i].std[dim],
-                     source_calib_preds_[i].mean[dim] -
-                         source_calib_.targets.At(i, dim)});
-  }
-  return QsCalibrator::Segment(std::move(pairs), num_segments);
+  return QsCalibrator::Segment(
+      CalibrationPairs(source_calib_preds_, source_calib_.targets, dim),
+      num_segments);
 }
 
 Dataset PdrHarness::PoolTrajectories(
@@ -185,12 +161,13 @@ PdrSchemeEval PdrHarness::EvaluateScheme(UdaScheme* scheme,
   // TASFAR_ANALYZE_ALLOW(seed-discipline): pre-MixSeed stream split, pinned: reseeding would shift every EXPERIMENTS.md baseline number.
   Rng rng(config_.seed ^ (0x881ULL + static_cast<uint64_t>(
                                          cache.user.profile.id)));
-  // Subsample the source set for the source-based baselines (speed knob).
+  // Subsample the source set for the source-based baselines (speed).
+  constexpr size_t kBaselineSourceSubsample = 1200;
   Dataset source = source_train_;
-  if (source.size() > config_.baseline_source_subsample) {
+  if (source.size() > kBaselineSourceSubsample) {
     std::vector<size_t> idx =
         rng.Permutation(source.size());
-    idx.resize(config_.baseline_source_subsample);
+    idx.resize(kBaselineSourceSubsample);
     source = Subset(source, idx);
   }
   UdaContext context;
@@ -218,8 +195,7 @@ PseudoLabelEval PdrHarness::PseudoLabelQuality(
   for (size_t i : split.uncertain) uncertain.push_back(cache.adapt_preds[i]);
 
   LabelDistributionEstimator estimator(calib.qs_per_dim, error_model);
-  std::vector<GridSpec> axes = estimator.AutoAxes(
-      confident, grid_cell_size, kGridMarginSigmas);
+  std::vector<GridSpec> axes = estimator.AutoAxes(confident, grid_cell_size);
   DensityMap map = estimator.Estimate(confident, axes);
   PseudoLabelGenerator generator(&map, &estimator, calib.tau);
 
@@ -257,8 +233,7 @@ double PdrHarness::DensityMapError(const PdrUserCache& cache,
   for (size_t i : split.confident) confident.push_back(cache.adapt_preds[i]);
 
   LabelDistributionEstimator estimator(calib.qs_per_dim, kTasfarErrorModel);
-  std::vector<GridSpec> axes = estimator.AutoAxes(
-      confident, grid_cell_size, kGridMarginSigmas);
+  std::vector<GridSpec> axes = estimator.AutoAxes(confident, grid_cell_size);
   DensityMap estimated = estimator.Estimate(confident, axes);
 
   Tensor confident_labels = GatherFirstDim(

@@ -17,16 +17,7 @@ struct PdrHarnessConfig {
   PdrSimConfig sim;
   uint64_t seed = 7;
   size_t source_epochs = 30;
-  /// Dropout rate of the source model (training and MC sampling).
-  double dropout_rate = 0.2;
-  size_t source_batch = 32;
-  double source_lr = 1e-3;
-  /// Fraction of the source dataset held out for calibration (τ and Q_s).
-  double calibration_fraction = 0.25;
   TasfarOptions tasfar;
-  /// Source subsample used by the source-based baselines per user (speed).
-  size_t baseline_source_subsample = 1200;
-  size_t baseline_epochs = 8;
 };
 
 /// Per-user cache of everything the sweeps reuse: pooled adaptation/test
@@ -80,11 +71,14 @@ class PdrHarness {
   const PdrHarnessConfig& config() const { return config_; }
 
   /// Recomputes τ/Q_s from the cached source MC predictions with different
-  /// η / q (used by the Fig. 9-10 sweeps; no new model passes needed).
+  /// η / q (used by the Fig. 9-10 sweeps; no new model passes needed)
+  /// through Tasfar::CalibrateFromPredictions, which drops non-finite
+  /// predictions.
   SourceCalibration CalibrateWith(double eta, size_t num_segments) const;
 
   /// The raw uncertainty-vs-error segments of the source calibration split
-  /// for one label dimension (the scatter behind Fig. 3).
+  /// for one label dimension (the scatter behind Fig. 3), over the pairs
+  /// CalibrationPairs keeps.
   std::vector<SegmentStats> UncertaintySegments(size_t dim,
                                                 size_t num_segments) const;
 

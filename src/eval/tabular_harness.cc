@@ -60,16 +60,16 @@ void TabularHarness::Prepare() {
   standardize(&target.targets);
 
   SplitResult src_split = SplitFraction(
-      source, 1.0 - config_.calibration_fraction, /*shuffle=*/true, &rng);
+      source, 1.0 - kCalibrationFraction, /*shuffle=*/true, &rng);
   source_train_ = std::move(src_split.first);
   source_calib_ = std::move(src_split.second);
-  SplitResult tgt_split = SplitFraction(target, config_.adaptation_fraction,
+  SplitResult tgt_split = SplitFraction(target, kAdaptationFraction,
                                         /*shuffle=*/true, &rng);
   target_adapt_ = std::move(tgt_split.first);
   target_test_ = std::move(tgt_split.second);
 
   source_model_ = BuildTabularModel(source_train_.inputs.dim(1), &rng);
-  Adam optimizer(config_.source_lr);
+  Adam optimizer(kSourceLearningRate);
   Trainer trainer(source_model_.get(), &optimizer,
                   [](const Tensor& p, const Tensor& t, Tensor* g,
                      const std::vector<double>* w) {
@@ -77,7 +77,6 @@ void TabularHarness::Prepare() {
                   });
   TrainConfig tc;
   tc.epochs = config_.source_epochs;
-  tc.batch_size = config_.source_batch;
   trainer.Fit(source_train_.inputs, source_train_.targets, tc, &rng);
 
   Tasfar tasfar(config_.tasfar);

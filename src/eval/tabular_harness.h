@@ -23,10 +23,6 @@ struct TabularHarnessConfig {
   TabularMetric metric = TabularMetric::kMse;
   uint64_t seed = 23;
   size_t source_epochs = 40;
-  size_t source_batch = 32;
-  double source_lr = 1e-3;
-  double calibration_fraction = 0.25;
-  double adaptation_fraction = 0.8;
   /// Model log1p(y) instead of y (standard for duration-like targets; the
   /// taxi task uses it so the heavy-tailed durations do not dominate the
   /// uncertainty calibration). Metrics are still computed in raw units.

@@ -41,13 +41,6 @@ Tensor Tanh::Forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-void Tanh::ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
-                      bool /*training*/) {
-  TASFAR_CHECK(out != nullptr && out != &in);
-  out->Resize(in.rows(), in.cols());
-  simd::Kernels().tanh(in.data(), out->data(), in.size());
-}
-
 Tensor Tanh::Backward(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.SameShape(cached_output_));
   Tensor grad = Workspace::ThreadLocal().NewTensor(grad_output.shape());
@@ -76,16 +69,6 @@ Tensor Sigmoid::Forward(const Tensor& input, bool /*training*/) {
   // TASFAR_ANALYZE_ALLOW(workspace-escape): Backward reads this cache; pinning one pooled buffer per layer is the documented escape cost (docs/MEMORY.md).
   cached_output_ = out;
   return out;
-}
-
-void Sigmoid::ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
-                         bool /*training*/) {
-  TASFAR_CHECK(out != nullptr && out != &in);
-  out->Resize(in.rows(), in.cols());
-  // The f32 kernel is the single-branch 1/(1+exp(-x)) form: expf
-  // saturates to +inf (→ 0) or 0 (→ 1) instead of going NaN, so the
-  // stability branch of the double path is unnecessary in float.
-  simd::Kernels().sigmoid(in.data(), out->data(), in.size());
 }
 
 Tensor Sigmoid::Backward(const Tensor& grad_output) {

@@ -30,9 +30,6 @@ class Tanh : public Layer {
  public:
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
-  bool SupportsF32() const override { return true; }
-  void ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
-                  bool training) override;
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Tanh>();
   }
@@ -47,9 +44,6 @@ class Sigmoid : public Layer {
  public:
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
-  bool SupportsF32() const override { return true; }
-  void ForwardF32(const simd::F32Tensor& in, simd::F32Tensor* out,
-                  bool training) override;
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Sigmoid>();
   }

@@ -23,6 +23,10 @@ namespace tasfar::serve {
 
 namespace {
 
+/// Concurrent client connections beyond which accepts are closed
+/// immediately (`tasfar.serve.connections.rejected`).
+constexpr size_t kMaxConnections = 64;
+
 obs::Counter* RequestsCounter() {
   static obs::Counter* const kCounter =
       obs::Registry::Get().GetCounter("tasfar.serve.requests.total");
@@ -168,7 +172,7 @@ void Server::AcceptOne() {
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
   if (fd < 0) return;
   if (TASFAR_FAILPOINT("serve.accept") ||
-      connections_.size() >= config_.max_connections) {
+      connections_.size() >= kMaxConnections) {
     // Reject at the door: existing sessions and connections are worth
     // more than a new client under overload (docs/SERVING.md §Admission
     // control).

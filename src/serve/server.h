@@ -18,9 +18,6 @@ struct ServerConfig {
   /// TCP port to listen on (loopback only). 0 picks an ephemeral port;
   /// read the actual one back with Server::port().
   uint16_t port = 0;
-  /// Concurrent client connections beyond which accepts are closed
-  /// immediately (`tasfar.serve.connections.rejected`).
-  size_t max_connections = 64;
   /// Upper bound on how long one send() to a client may block the network
   /// thread (SO_SNDTIMEO). A client that stops reading its socket hits
   /// this and is dropped instead of head-of-line-blocking every other

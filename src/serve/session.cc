@@ -154,7 +154,7 @@ void Session::ServeModelLocked(std::unique_ptr<Sequential> model,
   predictor_.reset();
   serving_model_ = std::move(model);
   EstimatorConfig estimator_config = EstimatorConfigFromOptions(options_);
-  estimator_config.batch_size = config_.predict_batch;
+  estimator_config.batch_size = SessionConfig::predict_batch;
   estimator_config.seed = config_.seed;
   predictor_ = MakeEstimator(serving_model_.get(), estimator_config);
   serving_adapted_ = adapted;

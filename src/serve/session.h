@@ -49,7 +49,7 @@ struct SessionConfig {
   /// function of (model, backend, seed, k).
   uint64_t seed = 0x5eedULL;
   /// Rows per forward batch in Predict.
-  size_t predict_batch = 64;
+  static constexpr size_t predict_batch = 64;
   /// Expected feature count of submitted/predicted rows.
   size_t input_dim = 0;
   /// Uncertainty backend serving this session's predictions and adapt

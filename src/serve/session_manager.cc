@@ -13,6 +13,10 @@ namespace tasfar::serve {
 
 namespace {
 
+/// Adapt jobs queued behind the running one before kAdapt answers
+/// kServerBusy (docs/SERVING.md §Admission control).
+constexpr size_t kAdaptQueueCapacity = 16;
+
 obs::Counter* SessionsCreatedCounter() {
   static obs::Counter* const kCounter =
       obs::Registry::Get().GetCounter("tasfar.serve.sessions.created");
@@ -118,7 +122,7 @@ SessionManager::SessionManager(const Sequential* source_model,
     : source_model_(source_model),
       options_(options),
       config_(config),
-      runner_(config.job_queue_capacity) {
+      runner_(kAdaptQueueCapacity) {
   TASFAR_CHECK(source_model_ != nullptr && calibration != nullptr);
   calibrations_[options_.uncertainty_backend] = calibration;
 }

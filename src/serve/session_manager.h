@@ -59,7 +59,6 @@ inline constexpr size_t kMaxUserIdBytes = 256;
 /// SessionManager limits.
 struct ManagerConfig {
   size_t max_sessions = 64;
-  size_t job_queue_capacity = 16;
   /// Budget applied to sessions whose CreateSession carries budget 0.
   size_t default_budget_bytes = 64u * 1024u * 1024u;
 };

@@ -179,8 +179,7 @@ const F32Kernels* KernelsFor(KernelBackend backend) {
     // source level.
     TASFAR_CHECK(table->name != nullptr && table->matmul != nullptr &&
                  table->add != nullptr && table->mul != nullptr &&
-                 table->relu != nullptr && table->tanh != nullptr &&
-                 table->sigmoid != nullptr);
+                 table->relu != nullptr);
   }
   return table;
 }

@@ -30,10 +30,9 @@ namespace tasfar::simd {
 ///  - `relu` is defined as `x > 0.0f ? x : 0.0f` (so -0.0f and NaN both
 ///    map to +0.0f) because that is what the branchless vector forms
 ///    compute; the scalar reference matches them, not std::max.
-///  - `tanh` and `sigmoid` run the same scalar libm loop in every backend
-///    (internal::TanhLoop / internal::SigmoidLoop): vectorized polynomial
-///    approximations would break cross-backend bit-equality for a
-///    transcendental that is memory-bound anyway.
+///
+/// These four are all the f32 path needs: it runs only models whose every
+/// layer SupportsF32 (Dense, Relu, Dropout), i.e. the tabular MLP.
 ///
 /// Error budgets versus the golden double path are documented per kernel
 /// in docs/MEMORY.md §"Float32 compute mode" and enforced by
@@ -56,12 +55,6 @@ struct F32Kernels {
 
   /// out[i] = in[i] > 0.0f ? in[i] : 0.0f. out may alias in.
   void (*relu)(const float* in, float* out, size_t n);
-
-  /// out[i] = tanh(in[i]). out may alias in.
-  void (*tanh)(const float* in, float* out, size_t n);
-
-  /// out[i] = 1 / (1 + exp(-in[i])). out may alias in.
-  void (*sigmoid)(const float* in, float* out, size_t n);
 };
 
 /// Portable reference backend; always available, bit-exact target for the
@@ -78,16 +71,6 @@ const F32Kernels& Avx2Kernels();
 /// NEON backend (aarch64; NEON is architecturally mandatory there).
 const F32Kernels& NeonKernels();
 #endif
-
-namespace internal {
-
-/// Shared scalar transcendental loops — every backend's `tanh`/`sigmoid`
-/// table entries point here so the results are bit-identical by
-/// construction (see the struct comment).
-void TanhLoop(const float* in, float* out, size_t n);
-void SigmoidLoop(const float* in, float* out, size_t n);
-
-}  // namespace internal
 
 }  // namespace tasfar::simd
 

@@ -174,8 +174,6 @@ const F32Kernels& Avx2Kernels() {
       .add = Avx2Add,
       .mul = Avx2Mul,
       .relu = Avx2Relu,
-      .tanh = internal::TanhLoop,
-      .sigmoid = internal::SigmoidLoop,
   };
   return kTable;
 }

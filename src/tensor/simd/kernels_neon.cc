@@ -161,8 +161,6 @@ const F32Kernels& NeonKernels() {
       .add = NeonAdd,
       .mul = NeonMul,
       .relu = NeonRelu,
-      .tanh = internal::TanhLoop,
-      .sigmoid = internal::SigmoidLoop,
   };
   return kTable;
 }

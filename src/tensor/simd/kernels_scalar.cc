@@ -5,22 +5,6 @@
 
 namespace tasfar::simd {
 
-namespace internal {
-
-void TanhLoop(const float* in, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = std::tanh(in[i]);
-  }
-}
-
-void SigmoidLoop(const float* in, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-in[i]));
-  }
-}
-
-}  // namespace internal
-
 namespace {
 
 // Reference matmul: i-p-j order streams one row of b per p while the c row
@@ -71,8 +55,6 @@ const F32Kernels& ScalarKernels() {
       .add = ScalarAdd,
       .mul = ScalarMul,
       .relu = ScalarRelu,
-      .tanh = internal::TanhLoop,
-      .sigmoid = internal::SigmoidLoop,
   };
   return kTable;
 }

@@ -53,7 +53,6 @@ TEST(AdvUdaTest, ReducesFeatureDiscrepancy) {
   AdvUdaOptions opts;
   opts.cut_layer = 2;
   opts.epochs = 80;
-  opts.batch_size = 32;
   opts.learning_rate = 5e-3;
   opts.adversarial_weight = 0.5;
   opts.discriminator_lr = 2e-3;

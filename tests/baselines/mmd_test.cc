@@ -99,7 +99,6 @@ TEST(MmdUdaTest, AdaptAlignsShiftedTargetFeatures) {
   MmdUdaOptions opts;
   opts.cut_layer = 2;
   opts.epochs = 10;
-  opts.batch_size = 32;
   MmdUda scheme(opts);
   UdaContext ctx{&xs, &ys, &xt};
   Rng adapt_rng(9);

@@ -50,7 +50,7 @@ TEST(HousingSimTest, SpatialSplitRespected) {
   HousingSimulator sim(TinyHousing(), 5);
   Dataset src = sim.GenerateSource();
   Dataset tgt = sim.GenerateTarget();
-  const double threshold = sim.config().coastal_threshold;
+  const double threshold = kCoastalThreshold;
   for (size_t i = 0; i < src.size(); ++i) {
     EXPECT_GE(src.inputs.At(i, kCoastDistance), threshold);
   }

@@ -8,6 +8,7 @@
 #include "eval/crowd_harness.h"
 #include "eval/pdr_harness.h"
 #include "eval/tabular_harness.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace tasfar {
@@ -108,6 +109,30 @@ TEST(HarnessTest, CrowdToCountsClampsNegative) {
   harness.Prepare();
   Tensor log_out({1, 1}, {-3.0});
   EXPECT_DOUBLE_EQ(harness.ToCounts(log_out).At(0, 0), 0.0);
+}
+
+TEST(HarnessTest, PdrCalibrationSkipsAPoisonedPrediction) {
+  // Under mc_dropout.poison the first calibration prediction comes back
+  // NaN. The harness calibrates through Tasfar's finite filter, so τ and
+  // every Q_s line stay finite.
+  PdrHarnessConfig cfg;
+  cfg.sim.num_seen_users = 2;
+  cfg.sim.num_unseen_users = 1;
+  cfg.source_epochs = 1;
+  cfg.tasfar.mc_samples = 3;
+  cfg.tasfar.num_segments = 10;
+  PdrHarness harness(cfg);
+  ASSERT_TRUE(failpoint::Configure("mc_dropout.poison").ok());
+  harness.Prepare();
+  failpoint::Disable();
+  const SourceCalibration& calib = harness.calibration();
+  EXPECT_TRUE(std::isfinite(calib.tau));
+  ASSERT_EQ(calib.qs_per_dim.size(), 2u);
+  for (size_t d = 0; d < calib.qs_per_dim.size(); ++d) {
+    EXPECT_TRUE(std::isfinite(calib.qs_per_dim[d].line.slope)) << "dim " << d;
+    EXPECT_TRUE(std::isfinite(calib.qs_per_dim[d].line.intercept))
+        << "dim " << d;
+  }
 }
 
 }  // namespace
