@@ -19,7 +19,9 @@ void Run() {
 
   const char* names[] = {"TASFAR",   "MMD*",   "ADV*", "AUGfree",
                          "Datafree", "U-SFDA", "UPL"};
-  std::vector<std::vector<double>> adapt_red(5), test_red(5);
+  // One bucket per scheme: TASFAR, then every scheme MakeSchemes returns.
+  std::vector<std::vector<double>> adapt_red(1 + schemes.size());
+  std::vector<std::vector<double>> test_red(1 + schemes.size());
   for (const PdrUserData& user : harness.users()) {
     if (!user.profile.seen) continue;
     PdrUserCache cache = harness.BuildUserCache(user);
@@ -39,7 +41,7 @@ void Run() {
   TablePrinter table({"scheme", "adaptation set (%)", "test set (%)"});
   CsvWriter csv;
   csv.SetHeader({"scheme", "adapt_reduction_pct", "test_reduction_pct"});
-  for (size_t s = 0; s < 5; ++s) {
+  for (size_t s = 0; s < adapt_red.size(); ++s) {
     const double a = stats::Mean(adapt_red[s]);
     const double t = stats::Mean(test_red[s]);
     table.AddRow(names[s], {a, t}, 1);

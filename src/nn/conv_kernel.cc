@@ -9,15 +9,6 @@ namespace tasfar {
 
 namespace {
 
-// Below this many multiply-adds a conv region runs as one inline chunk on
-// the calling thread, where the ParallelFor hand-off would cost more than
-// the shards save (MatMul's cut-off).
-constexpr size_t kConvParallelMinMadds = size_t{1} << 17;
-
-size_t Grain(size_t shards, size_t madds) {
-  return madds < kConvParallelMinMadds ? shards : 1;
-}
-
 // The output positions a tap reaches in range, [lo, lo + n), and the input
 // position `first` that output `lo` reads; output lo + j reads input
 // first + j * stride.
@@ -80,7 +71,7 @@ void ConvForward(const ConvGeometry& g, const double* x, const double* weight,
   const size_t madds = shards * out_plane * g.in_channels * taps;
   // One shard per (b, oc) output plane: fill it with the bias, then add
   // the taps in (ic, kh, kw) order, each over the outputs it reaches.
-  ParallelFor(0, shards, Grain(shards, madds), [&](size_t s) {
+  ParallelFor(0, shards, ParallelGrain(shards, madds), [&](size_t s) {
     const size_t b = s / g.out_channels;
     const size_t oc = s % g.out_channels;
     double* o = out + s * out_plane;
@@ -123,7 +114,7 @@ void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
   // the row; the shard of row (oc, 0, 0) also sums oc's bias gradient in
   // the same order.
   const size_t rows = g.out_channels * g.in_channels * g.h.kernel;
-  ParallelFor(0, rows, Grain(rows, madds), [&](size_t r) {
+  ParallelFor(0, rows, ParallelGrain(rows, madds), [&](size_t r) {
     const size_t oc = r / (g.in_channels * g.h.kernel);
     const size_t ic = r / g.h.kernel % g.in_channels;
     const size_t kh = r % g.h.kernel;
@@ -164,7 +155,7 @@ void ConvBackward(const ConvGeometry& g, const double* x, const double* weight,
   // so each element sums its terms in (oc, ho, wo) order.
   const std::vector<Window> wins_h = WindowsOf(g.h);
   const size_t planes = g.batch * g.in_channels;
-  ParallelFor(0, planes, Grain(planes, madds), [&](size_t p) {
+  ParallelFor(0, planes, ParallelGrain(planes, madds), [&](size_t p) {
     const size_t b = p / g.in_channels;
     const size_t ic = p % g.in_channels;
     double* gi = grad_input + p * in_plane;

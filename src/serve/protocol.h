@@ -167,8 +167,11 @@ class PayloadWriter {
 /// truncated payloads are detected, never over-read.
 class PayloadReader {
  public:
+  /// Reads `payload` in place: it must outlive the reader.
   explicit PayloadReader(const std::string& payload)
       : data_(payload.data()), size_(payload.size()) {}
+  /// A temporary would die before the first read.
+  explicit PayloadReader(std::string&&) = delete;
 
   bool GetU8(uint8_t* v);
   bool GetU16(uint16_t* v);

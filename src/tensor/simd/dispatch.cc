@@ -195,10 +195,7 @@ ScopedKernelConfig::~ScopedKernelConfig() {
 void MatMulF32Raw(const float* a, const float* b, float* c, size_t m,
                   size_t k, size_t n) {
   const F32Kernels& kernels = Kernels();
-  // Same serial cutoff as the double MatMulAccumulate: below ~2^17
-  // multiply-adds the ParallelFor dispatch overhead dominates.
-  constexpr size_t kParallelMinFlops = 1 << 17;
-  if (m < 2 || m * k * n < kParallelMinFlops) {
+  if (m < 2 || m * k * n < kParallelMinMadds) {
     kernels.matmul(a, b, c, m, k, n);
     return;
   }

@@ -329,10 +329,6 @@ namespace {
 constexpr size_t kMatMulBlockK = 64;
 constexpr size_t kMatMulBlockN = 128;
 
-// Below this many multiply-adds the ParallelFor dispatch overhead
-// dominates; run serially (64³ = 262144 sits just above).
-constexpr size_t kMatMulParallelMinFlops = 1 << 17;
-
 // Accumulates a (m×k) · b (k×n) into c, which must hold zeros (or a prior
 // partial sum being extended — the kernel only ever adds).
 void MatMulAccumulate(const double* a_data, const double* b_data,
@@ -359,7 +355,7 @@ void MatMulAccumulate(const double* a_data, const double* b_data,
       }
     }
   };
-  if (m < 2 || m * k * n < kMatMulParallelMinFlops) {
+  if (m < 2 || m * k * n < kParallelMinMadds) {
     row_block(0, m);
     return;
   }

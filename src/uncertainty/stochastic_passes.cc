@@ -79,7 +79,7 @@ std::vector<McPrediction> RunStochasticPasses(
   const size_t n = inputs.dim(0);
   const size_t batch = plan.batch_size;
   TASFAR_CHECK(n > 0 && plan.num_passes > 0 && batch > 0);
-  TASFAR_CHECK(plan.cut == 0 || plan.trunk_source != nullptr);
+  TASFAR_CHECK(plan.trunk_source != nullptr);
   const size_t num_slices = (n + batch - 1) / batch;
   const size_t num_runs = std::min(num_slices, GetNumThreads());
   auto rows_of = [&](size_t b) {
@@ -132,9 +132,19 @@ std::vector<McPrediction> RunStochasticPasses(
   // Heads: one task per pass, each writing only its own `passes` slot and
   // reading the slice outputs, so the fan-out is race-free. A pass feeds
   // its model the slices in ascending order, as a whole-model pass does,
-  // so every dropout stream is consumed in the same order.
+  // so every dropout stream is consumed in the same order. A head does
+  // about one multiply-add per weight and row, so a call whose heads do
+  // less than the pool's cut-off in all runs every pass on the caller.
+  size_t head_weights = 0;
+  for (size_t i = plan.cut; i < plan.trunk_source->NumLayers(); ++i) {
+    for (const Tensor* w : plan.trunk_source->layer(i).Params()) {
+      head_weights += w->size();
+    }
+  }
   std::vector<Tensor> passes(plan.num_passes);
-  ParallelFor(0, plan.num_passes, /*grain=*/1, [&](size_t p) {
+  const size_t head_grain = ParallelGrain(
+      plan.num_passes, plan.num_passes * n * head_weights);
+  ParallelFor(0, plan.num_passes, head_grain, [&](size_t p) {
     PassLane& lane = PassLaneOf(p);
     const std::lock_guard<std::mutex> lock(lane.mu);
     const Workspace::Scope scope(&lane.workspace);

@@ -22,7 +22,8 @@ size_t DeterministicTrunkLength(Sequential* model);
 constexpr size_t kPassLanes = 8;
 
 struct PassPlan {
-  /// Model whose layers [0, cut) the trunk runs; unused when cut == 0.
+  /// Model whose layers [0, cut) the trunk runs, and whose layers
+  /// [cut, end) size the head work (required).
   Sequential* trunk_source = nullptr;
   size_t cut = 0;
   size_t num_passes = 0;
@@ -48,8 +49,12 @@ struct PassPlan {
 ///    reuses the same trunk buffers instead of keeping its own.
 ///  - Head: pass p runs layers [cut, end) of the model `head(p)` returns
 ///    on every slice output in ascending slice order, on lane
-///    p % kPassLanes: that lane's lock is held for the whole pass and its
-///    Workspace serves every buffer. `head` is called once per pass under
+///    p % kPassLanes. The passes fan out over the pool only when
+///    passes × rows × the head's weights (the summed parameter sizes of
+///    `trunk_source`'s layers [cut, end)) reaches kParallelMinMadds; a
+///    smaller call runs them in ascending order on the caller. Pass p
+///    holds its lane's lock for the whole pass, and the lane's Workspace
+///    serves every buffer. `head` is called once per pass under
 ///    that lock, before any slice, and must return a model whose
 ///    stochastic streams are already pinned to the pass; a model it keeps
 ///    per lane is only ever touched under that lane's lock.

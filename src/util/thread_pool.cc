@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -16,7 +17,8 @@ namespace tasfar {
 
 namespace {
 
-/// Set (permanently) on every pool worker thread; ParallelFor consults it
+/// Set on every pool worker thread (permanently) and on a ParallelFor
+/// caller while it runs chunks of its own region; ParallelFor consults it
 /// to run nested parallel regions inline instead of re-entering the queue.
 thread_local bool tls_is_pool_worker = false;
 
@@ -92,16 +94,17 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   if (begin >= end) return;
   if (grain == 0) grain = 1;
   const size_t range = end - begin;
-  // Serial fast paths: no workers, a nested region on a worker thread, or
-  // a range that fits in one chunk. All three execute iterations in
-  // ascending order, like every chunk below, so the result is the same.
+  // Serial fast paths: no workers, a region nested in a chunk (on a worker,
+  // or on a caller running its own chunks), or a range that fits in one
+  // chunk. All three execute iterations in ascending order, like every
+  // chunk below, so the result is the same.
   if (workers_.empty() || tls_is_pool_worker || range <= grain) {
     if (obs::MetricsEnabled()) InlineRegionsCounter()->Increment();
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
   const bool metrics = obs::MetricsEnabled();
-  // The submitting thread's trace context rides into every queued chunk so
+  // The submitting thread's trace context rides into every chunk so
   // worker-side spans chain onto the submitter's trace (one TLS read here,
   // only when tracing is on; {0,0} otherwise is a no-op install).
   const obs::TraceContext trace_ctx =
@@ -114,52 +117,71 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
       std::max(grain, (range + target_chunks - 1) / target_chunks);
   const size_t num_chunks = (range + chunk - 1) / chunk;
 
-  // Per-region completion latch + first-exception capture, shared by the
-  // queued chunk tasks. Heap-allocated so the region state stays valid
-  // even while tasks still hold references during the final notify.
+  // Per-region state shared by the caller and its helper tasks: the next
+  // chunk to claim, a completion latch and the first exception captured.
+  // Heap-allocated so a helper dequeued after the region returned still
+  // finds it (and then claims nothing, so it never touches `fn`).
   struct Region {
+    std::atomic<size_t> next{0};
     std::mutex mu;
     std::condition_variable done_cv;
-    size_t pending;
+    size_t pending = 0;  // Chunks not yet finished.
     std::exception_ptr first_error;
   };
   auto region = std::make_shared<Region>();
   region->pending = num_chunks;
+  // Claims chunks until none is left, then reports how many it ran.
+  auto work = [region, begin, end, chunk, num_chunks, &fn, metrics,
+               trace_ctx] {
+    size_t ran = 0;
+    for (;; ++ran) {
+      const size_t c = region->next.fetch_add(1);
+      if (c >= num_chunks) break;
+      const size_t lo = begin + c * chunk;
+      const size_t hi = std::min(lo + chunk, end);
+      const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
+      {
+        obs::ScopedTraceContext tctx(trace_ctx);
+        TASFAR_TRACE_SPAN("thread_pool.chunk");
+        try {
+          for (size_t i = lo; i < hi; ++i) fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> rlock(region->mu);
+          if (!region->first_error) {
+            region->first_error = std::current_exception();
+          }
+        }
+      }
+      if (metrics) {
+        BusyMicrosCounter()->Increment(obs::MonotonicMicros() - t0);
+      }
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> rlock(region->mu);
+    region->pending -= ran;
+    if (region->pending == 0) region->done_cv.notify_all();
+  };
 
+  // The caller runs chunks too, so a region never needs more helpers than
+  // it has chunks besides the caller's first, nor more than the workers.
+  const size_t helpers = std::min(num_chunks - 1, workers_.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     TASFAR_CHECK_MSG(!stop_, "ParallelFor on a stopped ThreadPool");
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t lo = begin + c * chunk;
-      const size_t hi = std::min(lo + chunk, end);
-      queue_.emplace_back([region, lo, hi, &fn, metrics, trace_ctx] {
-        const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
-        {
-          obs::ScopedTraceContext tctx(trace_ctx);
-          TASFAR_TRACE_SPAN("thread_pool.chunk");
-          try {
-            for (size_t i = lo; i < hi; ++i) fn(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> rlock(region->mu);
-            if (!region->first_error) {
-              region->first_error = std::current_exception();
-            }
-          }
-        }
-        if (metrics) {
-          BusyMicrosCounter()->Increment(obs::MonotonicMicros() - t0);
-        }
-        std::lock_guard<std::mutex> rlock(region->mu);
-        if (--region->pending == 0) region->done_cv.notify_all();
-      });
-    }
+    for (size_t h = 0; h < helpers; ++h) queue_.emplace_back(work);
     if (metrics) {
       RegionsCounter()->Increment();
       ChunksCounter()->Increment(num_chunks);
       QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
     }
   }
-  cv_.notify_all();
+  for (size_t h = 0; h < helpers; ++h) cv_.notify_one();
+
+  // While the caller runs chunks it counts as a worker, so regions nested
+  // in them run inline.
+  tls_is_pool_worker = true;
+  work();
+  tls_is_pool_worker = false;
 
   std::unique_lock<std::mutex> rlock(region->mu);
   region->done_cv.wait(rlock, [&region] { return region->pending == 0; });

@@ -23,14 +23,16 @@ namespace tasfar {
 ///     callers write to disjoint, pre-sized outputs. Any computation whose
 ///     per-index work is a pure function of the index therefore produces
 ///     bit-identical results at every thread count (including 1).
-///  2. *No nesting surprises.* A ParallelFor issued from inside a pool
-///     worker runs inline on that worker (a thread-local flag marks worker
-///     threads), so nested parallel regions cannot deadlock the pool and
-///     total concurrency stays bounded by the pool size.
-///  3. *Simplicity over stealing.* Chunks are pushed to a single FIFO
-///     queue guarded by one mutex. The networks in this repo are small;
-///     chunk counts are tens, not millions, so a work-stealing scheduler
-///     would buy nothing.
+///  2. *No nesting surprises.* A ParallelFor issued from inside a chunk
+///     runs inline on that thread (a thread-local flag marks pool workers,
+///     and the caller while it runs chunks of its own region), so nested
+///     parallel regions cannot deadlock the pool. Concurrency is bounded by
+///     the pool size plus the threads inside ParallelFor.
+///  3. *Simplicity over stealing.* A region's chunks are claimed from one
+///     atomic index, by the caller and by at most one helper task per
+///     worker, queued on a single FIFO guarded by one mutex. The networks
+///     in this repo are small; chunk counts are tens, not millions, so a
+///     work-stealing scheduler would buy nothing.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (values 0 and 1 spawn none; every
@@ -50,10 +52,11 @@ class ThreadPool {
 
   /// Calls `fn(i)` for every i in [begin, end), partitioned into
   /// contiguous chunks of at least `grain` iterations (grain 0 is treated
-  /// as 1), and blocks until all iterations completed. Empty ranges
-  /// return immediately. If any `fn` throws, the first exception captured
-  /// is rethrown on the calling thread after the region drains (remaining
-  /// chunks still run).
+  /// as 1), and returns when all iterations completed. The caller runs
+  /// chunks too, and wakes at most min(chunks - 1, workers) workers to
+  /// help. Empty ranges return immediately. If any `fn` throws, the first
+  /// exception captured is rethrown on the calling thread after the region
+  /// drains (remaining chunks still run).
   ///
   /// `fn` runs concurrently with itself: it must only touch state that is
   /// disjoint per index (or otherwise synchronized by the caller).
@@ -75,8 +78,8 @@ class ThreadPool {
 /// the calling thread (tools/analyze forbids raw `std::thread` outside this
 /// file). The serving layer uses it for its network loop and its adapt-job
 /// runner (docs/THREADING.md §Background threads); compute inside the body
-/// still fans out through the global ParallelFor, so total CPU concurrency
-/// remains bounded by the pool size.
+/// still fans out through the global ParallelFor, where the body's thread
+/// works its own regions beside the pool's workers.
 ///
 /// The body runs exactly once. Destruction joins (it does not signal the
 /// body to stop — owners needing cancellation must provide their own flag
@@ -117,6 +120,18 @@ void SetNumThreads(size_t num_threads);
 /// ParallelFor on the global pool; see ThreadPool::ParallelFor.
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t)>& fn);
+
+/// Below this many multiply-adds a region runs as one inline chunk on the
+/// calling thread: the hand-off to the workers would cost more than they
+/// save (64³ = 262,144 sits just above).
+inline constexpr size_t kParallelMinMadds = size_t{1} << 17;
+
+/// Grain for a ParallelFor over `items` indices that do `madds`
+/// multiply-adds in all: the whole range (one inline chunk) below
+/// kParallelMinMadds, else 1.
+inline size_t ParallelGrain(size_t items, size_t madds) {
+  return madds < kParallelMinMadds ? items : 1;
+}
 
 }  // namespace tasfar
 

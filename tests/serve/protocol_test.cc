@@ -301,7 +301,8 @@ TEST(PayloadTest, TruncatedStringRestoresPosition) {
   // Length prefix says 100 bytes but only 3 follow.
   PayloadWriter w;
   w.PutU32(100);
-  PayloadReader r(w.bytes() + "abc");
+  const std::string payload = w.bytes() + "abc";
+  PayloadReader r(payload);
   std::string s;
   EXPECT_FALSE(r.GetString(&s));
   // The u32 length is restored too, so the caller can re-read it.

@@ -27,6 +27,12 @@ using simd::KernelBackend;
 using simd::KernelsFor;
 using simd::ScalarKernels;
 
+// memcmp of `n` floats, where comparing zero floats is equal: an empty
+// vector's data() may be null, which memcmp must not be passed.
+bool SameFloats(const float* a, const float* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
 std::vector<float> RandomVec(size_t n, uint32_t seed) {
   Rng rng(seed);
   std::vector<float> v(n);
@@ -51,7 +57,7 @@ TEST_P(SimdMatMulPropertyTest, AllBackendsBitIdenticalToScalar) {
     ASSERT_NE(kernels, nullptr);
     std::vector<float> out(m * n, 0.5f);
     kernels->matmul(a.data(), b.data(), out.data(), m, k, n);
-    EXPECT_EQ(0, std::memcmp(ref.data(), out.data(), m * n * sizeof(float)))
+    EXPECT_TRUE(SameFloats(ref.data(), out.data(), m * n))
         << "backend " << kernels->name << " diverges from scalar at shape "
         << m << "x" << k << "x" << n;
   }
@@ -120,13 +126,13 @@ TEST_P(SimdElementwisePropertyTest, AllBackendsBitIdenticalToScalar) {
     ASSERT_NE(kernels, nullptr);
     std::vector<float> out(n);
     kernels->add(a.data(), b.data(), out.data(), n);
-    EXPECT_EQ(0, std::memcmp(r_add.data(), out.data(), n * sizeof(float)))
+    EXPECT_TRUE(SameFloats(r_add.data(), out.data(), n))
         << "add/" << kernels->name;
     kernels->mul(a.data(), b.data(), out.data(), n);
-    EXPECT_EQ(0, std::memcmp(r_mul.data(), out.data(), n * sizeof(float)))
+    EXPECT_TRUE(SameFloats(r_mul.data(), out.data(), n))
         << "mul/" << kernels->name;
     kernels->relu(a.data(), out.data(), n);
-    EXPECT_EQ(0, std::memcmp(r_relu.data(), out.data(), n * sizeof(float)))
+    EXPECT_TRUE(SameFloats(r_relu.data(), out.data(), n))
         << "relu/" << kernels->name;
   }
 }
@@ -141,14 +147,12 @@ TEST_P(SimdElementwisePropertyTest, AliasedOutputAllowed) {
     std::vector<float> expect(n), inplace = a;
     kernels->add(a.data(), b.data(), expect.data(), n);
     kernels->add(inplace.data(), b.data(), inplace.data(), n);
-    EXPECT_EQ(0,
-              std::memcmp(expect.data(), inplace.data(), n * sizeof(float)))
+    EXPECT_TRUE(SameFloats(expect.data(), inplace.data(), n))
         << "aliased add/" << kernels->name;
     inplace = a;
     kernels->relu(a.data(), expect.data(), n);
     kernels->relu(inplace.data(), inplace.data(), n);
-    EXPECT_EQ(0,
-              std::memcmp(expect.data(), inplace.data(), n * sizeof(float)))
+    EXPECT_TRUE(SameFloats(expect.data(), inplace.data(), n))
         << "aliased relu/" << kernels->name;
   }
 }

@@ -113,7 +113,13 @@ TEST(SourceEnsembleTest, TrunkReuseMatchesFullPasses) {
   // once for all of them and only each member's head per member. The
   // result must be the bytes of one whole-model pass per member, at every
   // thread count, wherever the trunk ends and however the rows fill the
-  // batches, on every call.
+  // batches, on every call. At 2 and 8 threads the heads run on the
+  // caller when 10 members × rows × head weights is under
+  // kParallelMinMadds, and fan out otherwise: tabular (1201 head weights)
+  // and crowd (833) run 1 and 5 rows on the caller and fan 19 out, as
+  // does tabular f32; pdr (20,674) fans every row count out;
+  // dropout_first (50), branch_dropout (73) and no_dropout (0) run every
+  // row count on the caller.
   constexpr size_t kMembers = 10;  // > kPassLanes: lanes hold two members.
   constexpr size_t kBatch = 8;
   constexpr uint64_t kSeed = 0x5eedULL;

@@ -8,6 +8,7 @@
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
 #include "tensor/buffer.h"
 #include "tensor/simd/dispatch.h"
 #include "util/rng.h"
@@ -254,7 +255,13 @@ TEST(McDropoutTest, TrunkReuseMatchesFullPasses) {
   // Predict runs the deterministic trunk once per call and only the layers
   // from the first stochastic one on per pass. The result must be the
   // bytes of the whole-model pass loop, at every thread count, wherever
-  // the trunk ends and however the rows fill the batches.
+  // the trunk ends and however the rows fill the batches. At 2 and 8
+  // threads the heads run on the caller when 10 passes × rows × head
+  // weights is under kParallelMinMadds, and fan out otherwise: tabular
+  // (1201 head weights) and crowd (833) run 1 and 5 rows on the caller
+  // and fan 19 out, as does tabular f32; pdr (20,674) fans every row
+  // count out; dropout_first (50), branch_dropout (73) and no_dropout (0)
+  // run every row count on the caller.
   constexpr size_t kPasses = 10;  // > kPassLanes: lanes hold two passes.
   constexpr size_t kBatch = 8;
   constexpr uint64_t kSeed = 0xfeedULL;
@@ -308,6 +315,45 @@ TEST(McDropoutTest, TrunkReuseMatchesFullPasses) {
     simd::SetComputeMode(simd::ComputeMode::kDouble);
   }
   SetNumThreads(0);
+}
+
+TEST(McDropoutTest, OneImagePredictRunsItsPassesOnTheCaller) {
+  // A one-image crowd Predict does 20 × 1 × 833 head multiply-adds, under
+  // kParallelMinMadds, so it opens no pool region: its trunk is one slice
+  // of small convs, and its passes run on the caller. A 64-image call
+  // (20 × 64 × 833) fans out. Both give the whole-model bytes.
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  SetNumThreads(4);
+  const obs::Counter* regions =
+      obs::Registry::Get().GetCounter("tasfar.thread_pool.regions");
+  constexpr size_t kPasses = 20;
+  constexpr size_t kBatch = 64;
+  constexpr uint64_t kSeed = 0xc0deULL;
+  std::vector<uint64_t> seeds;
+  for (size_t s = 0; s < kPasses; ++s) {
+    seeds.push_back(MixSeed(MixSeed(kSeed, 0), s));
+  }
+  Rng rng(45);
+  SplitCase c = CrowdCase(&rng);
+  for (size_t rows : {1, 64}) {
+    const Tensor x = CaseInputs(c, rows, &rng);
+    McDropoutPredictor predictor(c.model.get(), kPasses, kBatch, kSeed);
+    const uint64_t before = regions->value();
+    const auto got = predictor.Predict(x);
+    const uint64_t opened = regions->value() - before;
+    ExpectSameBytes(got,
+                    WholeModelPasses(c.model.get(), x, kBatch,
+                                     /*training=*/true, /*f32=*/false, seeds),
+                    "crowd rows " + std::to_string(rows));
+    if (rows == 1) {
+      EXPECT_EQ(opened, 0u);
+    } else {
+      EXPECT_GE(opened, 1u);
+    }
+  }
+  SetNumThreads(0);
+  obs::SetMetricsEnabled(metrics_were_on);
 }
 
 TEST(McDropoutTest, SteadyStatePredictAllocatesNothing) {

@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 namespace tasfar {
 namespace {
+
+// Set on the thread a test calls ParallelFor from.
+thread_local bool tls_is_caller = false;
 
 TEST(ThreadPoolTest, EmptyRangeIsANoop) {
   ThreadPool pool(4);
@@ -95,6 +101,85 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineOnWorkers) {
     pool.ParallelFor(0, 16, 1, [&](size_t j) { ++hits[i * 16 + j]; });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, NestedRegionInACallerChunkRunsInline) {
+  // The caller runs chunks of its own region and counts as a worker while
+  // it does, so a region nested in one of its chunks runs inline on it, in
+  // ascending order. The other chunks wait (a few seconds at most) until
+  // the caller has entered one, so the caller always gets a chunk.
+  ThreadPool pool(4);
+  tls_is_caller = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> caller_entered{false};
+  std::atomic<int> nested_off_caller{0};
+  std::vector<std::vector<size_t>> orders;  // Written only on the caller.
+  pool.ParallelFor(0, 16, 1, [&](size_t) {
+    if (!tls_is_caller) {
+      while (!caller_entered.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+      }
+      return;
+    }
+    caller_entered = true;
+    std::vector<size_t> order;  // Unsynchronized: valid only if inline.
+    pool.ParallelFor(0, 8, 1, [&](size_t j) {
+      if (!tls_is_caller) ++nested_off_caller;
+      order.push_back(j);
+    });
+    orders.push_back(order);
+  });
+  tls_is_caller = false;
+  EXPECT_TRUE(caller_entered.load());
+  EXPECT_EQ(nested_off_caller.load(), 0);
+  ASSERT_FALSE(orders.empty());
+  for (const std::vector<size_t>& order : orders) {
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  }
+}
+
+TEST(ThreadPoolTest, CallerFinishesItsRegionWhileWorkersAreBusy) {
+  // A region started from a background thread holds every worker, and that
+  // thread, on a latch. The main thread's region must still complete, on
+  // the main thread alone, before the latch is released. The latch gives
+  // up at a deadline, so a caller that waits for workers fails the test
+  // instead of hanging it.
+  constexpr size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t held = 0;
+  bool released = false;
+  bool gave_up = false;
+  auto hold = [&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++held;
+    cv.notify_all();
+    if (!cv.wait_until(lock, deadline, [&] { return released; })) {
+      gave_up = true;
+    }
+  };
+  std::vector<size_t> out(64);
+  {
+    BackgroundThread holder("holder", [&] {
+      pool.ParallelFor(0, 4 * kWorkers, 1, hold);
+    });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_until(lock, deadline, [&] { return held > kWorkers; });
+    }
+    pool.ParallelFor(0, out.size(), 1, [&](size_t i) { out[i] = i * i; });
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      EXPECT_FALSE(gave_up) << "the main region waited for held workers";
+      released = true;
+    }
+    cv.notify_all();
+  }
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPoolTest, DisjointWritesAreDeterministicAcrossThreadCounts) {
